@@ -50,11 +50,26 @@ func checkCanceled(t *testing.T, err error, eng Engine, q *Query, cause error) {
 	}
 }
 
+// cancelShapes are the RunOptions shapes every cancellation test runs:
+// sequential and partitioned, materialized and streamed. The last one is
+// bounded, which engages the partition quota cutoff and the stream stop
+// latch alongside the context hook.
+func cancelShapes() []RunOptions {
+	yield := func([]Node) bool { return true }
+	return []RunOptions{
+		{Parallel: 1},
+		{Parallel: 2},
+		{Parallel: 1, Yield: yield},
+		{Parallel: 2, Yield: yield},
+		{Parallel: 2, Limit: 3, Yield: yield},
+	}
+}
+
 // TestRunContextAlreadyCanceled verifies that an expired context aborts
-// every engine before any evaluation work, that the structured error
-// exposes engine, query and cause, and — by re-running the same plan
-// without a context — that the pooled scratch recycled through the aborted
-// run carries no residue.
+// every engine under every run shape before any evaluation work, that the
+// structured error exposes engine, query and cause, and — by re-running
+// the same plan under a live context — that the pooled scratch recycled
+// through the aborted run carries no residue.
 func TestRunContextAlreadyCanceled(t *testing.T) {
 	d := GenerateXMark(0.05)
 	canceled, cancel := context.WithCancel(context.Background())
@@ -70,19 +85,21 @@ func TestRunContextAlreadyCanceled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := p.RunContext(canceled)
-			if res != nil {
-				t.Fatalf("aborted run returned a result with %d matches", len(res.Matches))
-			}
-			checkCanceled(t, err, c.eng, q, context.Canceled)
-			// The plan must stay fully usable after an aborted run.
-			again, err := p.RunContext(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !identicalMatches(again, want) {
-				t.Fatalf("post-cancel run: %d matches, want %d — cancellation left residue in pooled scratch",
-					len(again.Matches), len(want.Matches))
+			for _, ro := range cancelShapes() {
+				res, err := p.RunWith(canceled, ro)
+				if res != nil {
+					t.Fatalf("%+v: aborted run returned a result with %d matches", ro, len(res.Matches))
+				}
+				checkCanceled(t, err, c.eng, q, context.Canceled)
+				// The plan must stay fully usable after an aborted run.
+				again, err := p.RunWith(context.Background(), RunOptions{Parallel: ro.Parallel})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !identicalMatches(again, want) {
+					t.Fatalf("%+v: post-cancel run: %d matches, want %d — cancellation left residue in pooled scratch",
+						ro, len(again.Matches), len(want.Matches))
+				}
 			}
 		})
 	}
@@ -92,7 +109,9 @@ func TestRunContextAlreadyCanceled(t *testing.T) {
 // interrupt polls, so every engine is aborted somewhere inside its main
 // loop (not at the upfront check) — the cooperative checkpoints must
 // propagate the error out with no partial results, and the plan must
-// recover on the next run.
+// recover on the next run. Bounded shapes are left out: a partition the
+// quota cutoff skips never polls, so the trip point would depend on
+// scheduling.
 func TestRunContextMidRun(t *testing.T) {
 	d := GenerateXMark(0.05)
 	for _, c := range preparedCases() {
@@ -106,27 +125,32 @@ func TestRunContextMidRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// fuel=2: survive the upfront check and the first engine poll,
-			// then trip on the second.
-			ctx := &countdownCtx{fuel: 2}
-			res, err := p.RunContext(ctx)
-			if res != nil {
-				t.Fatalf("aborted run returned a result with %d matches", len(res.Matches))
-			}
-			checkCanceled(t, err, c.eng, q, context.DeadlineExceeded)
-			again, err := p.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !identicalMatches(again, want) {
-				t.Fatalf("post-cancel run: %d matches, want %d", len(again.Matches), len(want.Matches))
+			for _, ro := range cancelShapes() {
+				if ro.Limit > 0 {
+					continue
+				}
+				// fuel=2: survive the upfront check and the first engine
+				// poll, then trip on the next one.
+				ctx := &countdownCtx{fuel: 2}
+				res, err := p.RunWith(ctx, ro)
+				if res != nil {
+					t.Fatalf("%+v: aborted run returned a result with %d matches", ro, len(res.Matches))
+				}
+				checkCanceled(t, err, c.eng, q, context.DeadlineExceeded)
+				again, err := p.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !identicalMatches(again, want) {
+					t.Fatalf("%+v: post-cancel run: %d matches, want %d", ro, len(again.Matches), len(want.Matches))
+				}
 			}
 		})
 	}
 }
 
 // TestEvaluateContextOption verifies the one-shot path: EvalOptions.Context
-// bounds Evaluate exactly as RunContext bounds a prepared run.
+// bounds Evaluate exactly as RunWith's ctx bounds a prepared run.
 func TestEvaluateContextOption(t *testing.T) {
 	d := GenerateXMark(0.05)
 	canceled, cancel := context.WithCancel(context.Background())
@@ -152,8 +176,8 @@ func TestEvaluateContextOption(t *testing.T) {
 	}
 }
 
-// TestEvaluateWithoutViewsContext covers the raw-stream path, which shares
-// no plumbing with PreparedQuery.run.
+// TestEvaluateWithoutViewsContext covers the raw-stream entry point, whose
+// context arrives through EvalOptions rather than RunWith.
 func TestEvaluateWithoutViewsContext(t *testing.T) {
 	d := GenerateXMark(0.05)
 	canceled, cancel := context.WithCancel(context.Background())
@@ -190,8 +214,8 @@ func (c *starvedTimerCtx) Err() error                  { return nil }
 
 // TestRunContextStarvedTimer verifies deadline enforcement does not depend
 // on the context's own timer firing: a context with an expired deadline and
-// a perpetually-nil Err() must still abort every engine with
-// context.DeadlineExceeded.
+// a perpetually-nil Err() must still abort every engine under every run
+// shape with context.DeadlineExceeded.
 func TestRunContextStarvedTimer(t *testing.T) {
 	d := GenerateXMark(0.05)
 	ctx := &starvedTimerCtx{dl: time.Now().Add(-time.Hour)}
@@ -202,11 +226,13 @@ func TestRunContextStarvedTimer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := p.RunContext(ctx)
-			if res != nil {
-				t.Fatalf("aborted run returned a result with %d matches", len(res.Matches))
+			for _, ro := range cancelShapes() {
+				res, err := p.RunWith(ctx, ro)
+				if res != nil {
+					t.Fatalf("%+v: aborted run returned a result with %d matches", ro, len(res.Matches))
+				}
+				checkCanceled(t, err, c.eng, q, context.DeadlineExceeded)
 			}
-			checkCanceled(t, err, c.eng, q, context.DeadlineExceeded)
 		})
 	}
 }

@@ -36,13 +36,17 @@ func FuzzEvaluateDifferential(f *testing.F) {
 			testutil.SingletonViews(pat),
 			testutil.WholeQueryView(pat),
 		}
-		// Partition target for the parallel path, drawn after every other
-		// generator so existing corpus entries keep their doc/query/views.
+		// Partition target and page bounds for the run matrix, drawn after
+		// every other generator so existing corpus entries keep their
+		// doc/query/views.
 		k := 2 + rng.Intn(3)
-		// Page bounds for the streamed LIMIT/OFFSET arm, drawn after k for
-		// the same corpus-stability reason.
 		pageLim := 1 + rng.Intn(4)
 		pageOff := rng.Intn(3)
+		ks := []int{1, 2, 4}
+		if k == 3 {
+			ks = append(ks, k)
+		}
+		pages := [][2]int{{pageLim, pageOff}}
 		for pi, part := range partitions {
 			views := make([]*Query, len(part))
 			for i, vp := range part {
@@ -66,25 +70,11 @@ func FuzzEvaluateDifferential(f *testing.F) {
 						t.Fatalf("partition %d %v+%v: %d matches, oracle %d (q=%s)",
 							pi, eng, scheme, len(res.Matches), len(want.Matches), q)
 					}
-					// The range-partitioned run must be byte-identical to
-					// the sequential result, not just set-equal.
 					p, err := Prepare(doc, q, mv, eng, nil)
 					if err != nil {
 						t.Fatalf("partition %d %v+%v: prepare: %v", pi, eng, scheme, err)
 					}
-					pres, err := p.RunParallel(context.Background(), k)
-					if err != nil {
-						t.Fatalf("partition %d %v+%v k=%d: %v", pi, eng, scheme, k, err)
-					}
-					if !identicalMatches(pres, res) {
-						t.Fatalf("partition %d %v+%v k=%d: parallel diverged from sequential (%d vs %d matches, q=%s)",
-							pi, eng, scheme, k, len(pres.Matches), len(res.Matches), q)
-					}
-					// Bounded entry points must reproduce the oracle page
-					// [offset:offset+limit] exactly, sequentially and
-					// partitioned.
-					checkPages(t, fmt.Sprintf("partition %d %v+%v", pi, eng, scheme),
-						p, res, pageLim, pageOff, []int{1, k})
+					checkRunMatrix(t, fmt.Sprintf("partition %d %v+%v", pi, eng, scheme), p, res, ks, pages)
 				}
 			}
 			if q.IsPath() {
@@ -104,68 +94,100 @@ func FuzzEvaluateDifferential(f *testing.F) {
 				if err != nil {
 					t.Fatalf("partition %d IJ: prepare: %v", pi, err)
 				}
-				pres, err := p.RunParallel(context.Background(), k)
-				if err != nil {
-					t.Fatalf("partition %d IJ k=%d: %v", pi, k, err)
-				}
-				if !identicalMatches(pres, res) {
-					t.Fatalf("partition %d IJ k=%d: parallel diverged from sequential (%d vs %d matches, q=%s)",
-						pi, k, len(pres.Matches), len(res.Matches), q)
-				}
-				checkPages(t, fmt.Sprintf("partition %d IJ", pi), p, res, pageLim, pageOff, []int{1, k})
+				checkRunMatrix(t, fmt.Sprintf("partition %d IJ", pi), p, res, ks, pages)
 			}
 		}
 
-		// The no-view baseline must agree too (general-query entry point).
-		res, err := EvaluateWithoutViews(doc, q, EngineTwigStack, nil)
-		if err != nil {
-			t.Fatalf("EvaluateWithoutViews TS: %v", err)
-		}
-		if !sameMatches(res, want) {
-			t.Fatalf("EvaluateWithoutViews TS: %d matches, oracle %d (q=%s)",
-				len(res.Matches), len(want.Matches), q)
+		// The no-view baseline must agree too (general-query entry point),
+		// in full and paged, sequentially and partitioned.
+		for _, par := range ks {
+			for _, pg := range [][2]int{{0, 0}, {pageLim, pageOff}} {
+				opts := &EvalOptions{Limit: pg[0], Offset: pg[1], Parallelism: par}
+				res, err := EvaluateWithoutViews(doc, q, EngineTwigStack, opts)
+				if err != nil {
+					t.Fatalf("EvaluateWithoutViews TS %+v: %v", *opts, err)
+				}
+				if page := pageOf(want.Matches, pg[0], pg[1]); !samePage(res.Matches, page) {
+					t.Fatalf("EvaluateWithoutViews TS %+v: %d matches, oracle page %d (q=%s)",
+						*opts, len(res.Matches), len(page), q)
+				}
+			}
 		}
 	})
 }
 
-// checkPages asserts that every bounded entry point — paged and streamed,
-// sequential and range-partitioned — reproduces exactly the document-order
-// slice [off:off+lim] of the full sequential result res (itself already
-// oracle-checked by the caller).
-func checkPages(t *testing.T, label string, p *PreparedQuery, res *Result, lim, off int, ks []int) {
+// checkRunMatrix runs p under one matrix over RunOptions — Parallel ∈ ks ×
+// {unbounded, each {limit, offset} of pages, each page resumed through an
+// After cursor instead of an offset} × {materialized, Yield taking every
+// row, Yield stopping after the first} — and requires every cell to
+// reproduce exactly the document-order slice of full, the plan's
+// sequential result (itself oracle-checked by the caller).
+func checkRunMatrix(t *testing.T, label string, p *PreparedQuery, full *Result, ks []int, pages [][2]int) {
 	t.Helper()
-	want := res.Matches
-	if off >= len(want) {
-		want = nil
-	} else {
-		want = want[off:]
-		if lim < len(want) {
-			want = want[:lim]
+	type cell struct {
+		ro   RunOptions
+		want [][]Node
+	}
+	cells := []cell{{RunOptions{}, full.Matches}}
+	for _, pg := range pages {
+		lim, off := pg[0], pg[1]
+		want := pageOf(full.Matches, lim, off)
+		cells = append(cells, cell{RunOptions{Limit: lim, Offset: off}, want})
+		if off > 0 && off <= len(full.Matches) {
+			after := make([]int32, len(full.Matches[off-1]))
+			for i, n := range full.Matches[off-1] {
+				after[i] = n.Start
+			}
+			cells = append(cells, cell{RunOptions{Limit: lim, After: after}, want})
 		}
 	}
-	for _, par := range ks {
-		so := &StreamOptions{Limit: lim, Offset: off, Parallelism: par}
-		pg, err := p.RunPage(context.Background(), so)
-		if err != nil {
-			t.Fatalf("%s par=%d: RunPage: %v", label, par, err)
-		}
-		if !samePage(pg.Matches, want) {
-			t.Fatalf("%s par=%d: RunPage [%d:+%d] diverged from oracle slice (%d vs %d rows)",
-				label, par, off, lim, len(pg.Matches), len(want))
-		}
-		var rows [][]Node
-		if _, err := p.RunStream(context.Background(), so, func(row []Node) bool {
-			// The yield row is scratch reused between calls; keep a copy.
-			rows = append(rows, append([]Node(nil), row...))
-			return true
-		}); err != nil {
-			t.Fatalf("%s par=%d: RunStream: %v", label, par, err)
-		}
-		if !samePage(rows, want) {
-			t.Fatalf("%s par=%d: RunStream [%d:+%d] diverged from oracle slice (%d vs %d rows)",
-				label, par, off, lim, len(rows), len(want))
+	for _, k := range ks {
+		for _, c := range cells {
+			ro := c.ro
+			ro.Parallel = k
+			name := fmt.Sprintf("%s par=%d limit=%d offset=%d after=%v", label, k, ro.Limit, ro.Offset, ro.After)
+			res, err := p.RunWith(context.Background(), ro)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !samePage(res.Matches, c.want) {
+				t.Fatalf("%s: %d rows, want the %d-row document-order slice", name, len(res.Matches), len(c.want))
+			}
+			if parts := res.Stats.Partitions; parts < 1 || k == 1 && parts != 1 {
+				t.Fatalf("%s: %d partitions", name, parts)
+			}
+			for _, stopAfter := range []int{-1, 1} {
+				var rows [][]Node
+				ro.Yield = func(row []Node) bool {
+					// The yield row is scratch reused between calls; keep a copy.
+					rows = append(rows, append([]Node(nil), row...))
+					return len(rows) != stopAfter
+				}
+				res, err := p.RunWith(context.Background(), ro)
+				if err != nil {
+					t.Fatalf("%s yield: %v", name, err)
+				}
+				want := c.want
+				if stopAfter > 0 {
+					want = want[:min(stopAfter, len(want))]
+				}
+				if !samePage(rows, want) || len(res.Matches) != 0 {
+					t.Fatalf("%s yield stopping after %d: %d rows (%d materialized), want %d",
+						name, stopAfter, len(rows), len(res.Matches), len(want))
+				}
+			}
 		}
 	}
+}
+
+// pageOf is the document-order slice [off:off+lim] of rows; lim 0 is
+// unbounded.
+func pageOf(rows [][]Node, lim, off int) [][]Node {
+	rows = rows[min(off, len(rows)):]
+	if lim > 0 {
+		rows = rows[:min(lim, len(rows))]
+	}
+	return rows
 }
 
 // samePage is identicalMatches over bare row slices.

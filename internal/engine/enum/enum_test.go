@@ -356,7 +356,7 @@ func TestStreamingSinkDeclineStops(t *testing.T) {
 }
 
 func TestAccumulateFirstK(t *testing.T) {
-	// first > 0 with no sink: bounded accumulation (the RunPage path).
+	// first > 0 with no sink: bounded accumulation (a paged run without Yield).
 	src := streamDoc(10)
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")

@@ -206,7 +206,9 @@ func TestResidencyConcurrentChurn(t *testing.T) {
 	paths := saveTestViews(t, d, testViews, viewjoin.SchemeLEp)
 	_, maxFP := viewFootprints(t, d, paths)
 
-	s := New(Config{MaxResidentBytes: maxFP, Workers: 4})
+	// The subject is residency, not admission: an unbounded queue keeps 8
+	// clients on 4 workers from being shed, however they are scheduled.
+	s := New(Config{MaxResidentBytes: maxFP, Workers: 4, QueueDepth: -1})
 	for _, tn := range []string{"alpha", "beta"} {
 		if err := s.AddTenantDocument(tn, "xmark", d); err != nil {
 			t.Fatal(err)

@@ -8,7 +8,7 @@
 // construction, list binding, InterJoin's view scans) is paid at Prepare
 // time and amortized across requests through the plan cache, while each
 // request pays only the per-execution costs (cursor movement, structural
-// joins, enumeration) via PreparedQuery.RunContext on pooled scratch.
+// joins, enumeration) via PreparedQuery.RunWith on pooled scratch.
 package server
 
 import (
@@ -56,7 +56,7 @@ type Config struct {
 	// timeout_ms. Default 10s.
 	DefaultTimeout time.Duration
 	// MaxParallel caps the per-request "parallel" knob: a request may ask
-	// for up to this many range partitions (PreparedQuery.RunParallel);
+	// for up to this many range partitions (viewjoin.RunOptions.Parallel);
 	// higher asks are clamped silently. The default 1 disables parallel
 	// evaluation — each request then costs exactly one worker's CPU, which
 	// is what the Workers bound assumes.
@@ -250,7 +250,7 @@ type queryRequest struct {
 	TimeoutMS int64    `json:"timeout_ms,omitempty"` // 0: server default
 	// Limit bounds the match rows returned; 0 runs the full query and
 	// returns the count only. A positive limit is pushed into the engine
-	// (PreparedQuery.RunPage): the run stops once the page is determined,
+	// (viewjoin.RunOptions.Limit): the run stops once the page is determined,
 	// and match_count reports the page's row count, not the full result
 	// cardinality.
 	Limit int `json:"limit"`
@@ -338,8 +338,8 @@ func encodeCursor(epoch uint64, row []viewjoin.Node) string {
 }
 
 // decodeCursor parses a request cursor into the epoch it was issued at and
-// the per-query-node start labels RunPage seeks past; n is the query's
-// node count.
+// the per-query-node start labels a run seeks past (RunOptions.After); n
+// is the query's node count.
 func decodeCursor(s string, n int) (uint64, []int32, error) {
 	buf, err := base64.RawURLEncoding.DecodeString(s)
 	if err != nil {
@@ -489,7 +489,7 @@ func (s *Server) resolve(req *queryRequest) (*docEntry, *viewjoin.Query, viewjoi
 // request, preparing and inserting on a miss. The bool reports whether
 // this was a cache hit. Plans are always prepared with nil options (no
 // tracer), which is what makes them shareable across concurrent requests;
-// per-request tracing attaches via RunTraced instead.
+// per-request tracing attaches via RunOptions.Tracer instead.
 func (s *Server) plan(req *queryRequest, e *docEntry, q *viewjoin.Query, eng viewjoin.Engine, canon []string, mviews []*viewjoin.MaterializedView) (*planEntry, bool, error) {
 	key := planKey{tenant: req.Tenant, doc: req.Document, query: q.String(), engine: eng, views: strings.Join(canon, ";")}
 	if ent := s.cache.get(key); ent != nil {
@@ -583,21 +583,15 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		<-s.testEvalGate
 	}
 
-	// The per-request parallelism ask, clamped to the server cap. k <= 1
-	// keeps the sequential path; RunParallel degrades to it anyway when the
-	// plan yields no cuts, so the clamp only bounds worst-case goroutines.
-	k := req.Parallel
-	if k > s.cfg.MaxParallel {
-		k = s.cfg.MaxParallel
-	}
-
-	// A positive limit or a cursor makes this a paged run: the bound and
-	// resumption point are pushed into the engine instead of trimming a
-	// fully materialized result.
-	var after []int32
+	// The per-request parallelism ask, clamped to [1, MaxParallel]. The
+	// run degrades to sequential anyway when the plan yields no cuts, so
+	// the cap only bounds worst-case goroutines. A positive limit and a
+	// cursor are pushed into the engine instead of trimming a fully
+	// materialized result.
+	ro := viewjoin.RunOptions{Limit: req.Limit, Parallel: min(max(req.Parallel, 1), s.cfg.MaxParallel)}
 	var cursorEpoch uint64
 	if req.Cursor != "" {
-		cursorEpoch, after, err = decodeCursor(req.Cursor, q.NumNodes())
+		cursorEpoch, ro.After, err = decodeCursor(req.Cursor, q.NumNodes())
 		if err != nil {
 			s.failures.Add(1)
 			s.logAccess(&req, http.StatusBadRequest, "parse", 0, "", 0, "error", time.Since(started), err)
@@ -605,37 +599,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 			return
 		}
 	}
-	paged := req.Limit > 0 || after != nil
 	// With the flight recorder enabled, every request runs under its own
-	// obs.Recorder via RunTraced — the cached plan stays shared and
-	// untraced, only this execution is observed. The threshold is applied
-	// after the run (a query is only known to be slow once it finished),
-	// so the recorder must always be on to have the trace when it matters.
-	var rec *obs.Recorder
+	// obs.Recorder — the cached plan stays shared and untraced, only this
+	// execution is observed. The threshold is applied after the run (a
+	// query is only known to be slow once it finished), so the recorder
+	// must always be on to have the trace when it matters.
 	if traced || s.slowlog != nil {
-		rec = obs.NewRecorder()
-	}
-	runPlan := func(p *viewjoin.PreparedQuery) (*viewjoin.Result, error) {
-		if paged {
-			kk := k
-			if kk <= 1 {
-				// Cached plans are prepared with nil options; pin the
-				// sequential path explicitly rather than inheriting.
-				kk = 1
-			}
-			so := &viewjoin.StreamOptions{Limit: req.Limit, After: after, Parallelism: kk}
-			if rec != nil {
-				return p.RunPageTraced(ctx, so, rec)
-			}
-			return p.RunPage(ctx, so)
-		}
-		if rec != nil {
-			return p.RunTraced(ctx, k, rec)
-		}
-		if k > 1 {
-			return p.RunParallel(ctx, k)
-		}
-		return p.RunContext(ctx)
+		ro.Tracer = obs.NewRecorder()
 	}
 
 	var ent *planEntry // nil on the traced cache-bypass path
@@ -674,7 +644,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		writeError(w, http.StatusGone, "cursor", err, false)
 		return
 	}
-	res, err := runPlan(plan)
+	res, err := plan.RunWith(ctx, ro)
 	if err != nil {
 		s.fail(w, &req, canon, ent, cacheState, started, err)
 		return

@@ -273,91 +273,81 @@ func TestQueryDeadlineExpiry(t *testing.T) {
 	}
 }
 
-// TestQueryShedding saturates the single worker and pins the 429 path:
-// with QueueDepth 0, a second request must be shed immediately with the
-// structured admission error and counted on /metrics.
+// TestQueryShedding pins admission control exactly: one worker is held on
+// the evaluation gate while three more requests arrive, and each
+// QueueDepth must shed exactly the requests its queue cannot hold — all of
+// them at 0, all but one at 1, none when the queue is unbounded — with the
+// structured admission error, counted on /metrics, while every admitted
+// request completes once the gate opens.
 func TestQueryShedding(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 0})
-	gate := make(chan struct{})
-	started := make(chan struct{}, 1)
-	s.testEvalGate = gate
-	s.testEvalStarted = func() { started <- struct{}{} }
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	const extra = 3
+	for _, tc := range []struct{ depth, shed int }{{0, 3}, {1, 2}, {-1, 0}} {
+		t.Run(fmt.Sprintf("queue=%d", tc.depth), func(t *testing.T) {
+			s := newTestServer(t, Config{Workers: 1, QueueDepth: tc.depth})
+			gate := make(chan struct{})
+			started := make(chan struct{}, 1+extra)
+			s.testEvalGate = gate
+			s.testEvalStarted = func() { started <- struct{}{} }
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	req := queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}
-	firstDone := make(chan int, 1)
-	go func() {
-		var r queryResponse
-		firstDone <- post(t, ts, "/query", req, &r)
-	}()
-	<-started // the worker slot is now held
+			req := queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}
+			type reply struct {
+				status int
+				body   errorResponse
+			}
+			replies := make(chan reply, 1+extra)
+			send := func() {
+				var er errorResponse
+				st := post(t, ts, "/query", req, &er)
+				replies <- reply{st, er}
+			}
+			go send()
+			<-started // the worker slot is now held
+			for i := 0; i < extra; i++ {
+				go send()
+			}
+			// Release the gate only once every extra request has met
+			// admission: a bounded queue has then shed or queued it. An
+			// unbounded queue never sheds, so arrival is enough there.
+			for i := 0; ; i++ {
+				if tc.depth < 0 && s.requests.Load() == 1+extra ||
+					tc.depth >= 0 && s.shed.Load()+s.queued.Load() == extra {
+					break
+				}
+				if i > 5000 {
+					t.Fatalf("requests never reached admission: shed=%d queued=%d", s.shed.Load(), s.queued.Load())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(gate)
 
-	var er errorResponse
-	if st := post(t, ts, "/query", req, &er); st != http.StatusTooManyRequests {
-		t.Fatalf("saturated request: status %d, want 429 (body %+v)", st, er)
-	}
-	if er.Stage != "admission" {
-		t.Errorf("shed stage %q, want admission", er.Stage)
-	}
-
-	gate <- struct{}{}
-	if st := <-firstDone; st != http.StatusOK {
-		t.Fatalf("first request: status %d", st)
-	}
-	m := getMetrics(t, ts)
-	if m.Requests.Shed != 1 {
-		t.Errorf("shed = %d, want 1", m.Requests.Shed)
-	}
-	if m.Requests.Total != 2 {
-		t.Errorf("total = %d, want 2", m.Requests.Total)
-	}
-}
-
-// TestQueryQueueing verifies the queue between the workers and the
-// shedding threshold: with QueueDepth 1, one request may wait for the
-// busy worker and completes; only the one after it is shed.
-func TestQueryQueueing(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	gate := make(chan struct{})
-	started := make(chan struct{}, 2)
-	s.testEvalGate = gate
-	s.testEvalStarted = func() { started <- struct{}{} }
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	req := queryRequest{Document: "xmark", Query: testQuery, Engine: "VJ"}
-	results := make(chan int, 2)
-	go func() {
-		var r queryResponse
-		results <- post(t, ts, "/query", req, &r)
-	}()
-	<-started // worker busy
-	go func() {
-		var r queryResponse
-		results <- post(t, ts, "/query", req, &r)
-	}()
-	// Wait until the second request is queued (deterministically visible
-	// through the queued gauge).
-	for i := 0; s.queued.Load() == 0; i++ {
-		if i > 5000 {
-			t.Fatal("second request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	var er errorResponse
-	if st := post(t, ts, "/query", req, &er); st != http.StatusTooManyRequests {
-		t.Fatalf("third request: status %d, want 429", st)
-	}
-
-	gate <- struct{}{} // finish first; second leaves the queue and evaluates
-	<-started
-	gate <- struct{}{}
-	for i := 0; i < 2; i++ {
-		if st := <-results; st != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, st)
-		}
+			shed, ok := 0, 0
+			for i := 0; i < 1+extra; i++ {
+				r := <-replies
+				switch r.status {
+				case http.StatusTooManyRequests:
+					shed++
+					if r.body.Stage != "admission" {
+						t.Errorf("shed stage %q, want admission", r.body.Stage)
+					}
+				case http.StatusOK:
+					ok++
+				default:
+					t.Errorf("status %d (body %+v)", r.status, r.body)
+				}
+			}
+			if shed != tc.shed || ok != 1+extra-tc.shed {
+				t.Errorf("%d shed and %d served, want %d and %d", shed, ok, tc.shed, 1+extra-tc.shed)
+			}
+			m := getMetrics(t, ts)
+			if m.Requests.Shed != int64(tc.shed) {
+				t.Errorf("shed = %d, want %d", m.Requests.Shed, tc.shed)
+			}
+			if m.Requests.Total != 1+extra {
+				t.Errorf("total = %d, want %d", m.Requests.Total, 1+extra)
+			}
+		})
 	}
 }
 

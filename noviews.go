@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"viewjoin/internal/counters"
-	"viewjoin/internal/engine"
 	"viewjoin/internal/engine/pathstack"
 	"viewjoin/internal/engine/twigstack"
-	"viewjoin/internal/match"
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
@@ -41,91 +38,35 @@ func ParseQueryGeneral(s string) (*Query, error) {
 // queries). The view-based engines require materialized views by
 // definition.
 func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) (*Result, error) {
+	if eng != EngineTwigStack && eng != EnginePathStack {
+		return nil, fmt.Errorf("viewjoin: engine %v requires materialized views; use TS or PS without views", eng)
+	}
 	if opts == nil {
 		opts = &EvalOptions{}
 	}
-	t := d.tree()
+	snap := d.snap()
 	tr := opts.Tracer
 	if tr != nil {
 		tr.BeginPhase(obs.PhaseBind)
 	}
-	lists, err := rawStreams(t, q)
+	lists, err := rawStreams(snap.tree, q)
 	if tr != nil {
 		tr.EndPhase(obs.PhaseBind)
 	}
 	if err != nil {
 		return nil, err
 	}
-	var c counters.Counters
-	io := counters.NewIO(&c, opts.BufferPoolPages)
-	if tr != nil {
-		io.Page = func(miss bool) {
-			if miss {
-				tr.Event(obs.EvPageMiss, -1, 1)
-			} else {
-				tr.Event(obs.EvPageHit, -1, 1)
-			}
-		}
-		tr.Plan(rawStreamPlan(q.p, eng, lists))
-	}
-	eopts := engine.Options{Tracer: tr, DiskBased: opts.DiskBased, PageSize: opts.PageSize}
-	if ctx := opts.Context; ctx != nil {
-		eopts.Interrupt = contextInterrupt(ctx, eng, q.String())
-		if err := eopts.Interrupt(); err != nil {
-			return nil, err
-		}
-	}
-
-	start := time.Now()
-	var ms match.Set
-	if tr != nil {
-		tr.BeginPhase(obs.PhaseEvaluate)
-	}
-	switch eng {
-	case EngineTwigStack:
-		ms, _, err = twigstack.Eval(t, q.p, lists, io, eopts)
-	case EnginePathStack:
-		ms, err = pathstack.Eval(t, q.p, lists, io, eopts)
-	default:
-		err = fmt.Errorf("viewjoin: engine %v requires materialized views; use TS or PS without views", eng)
-	}
-	if tr != nil {
-		tr.EndPhase(obs.PhaseEvaluate)
-	}
-	if err != nil {
+	p := &PreparedQuery{d: d, tree: snap.tree, epoch: snap.epoch, q: q, eng: eng, opts: *opts}
+	if eng == EngineTwigStack {
+		p.ts = twigstack.Prepare(snap.tree, q.p, lists)
+	} else if p.ps, err = pathstack.Prepare(snap.tree, q.p, lists); err != nil {
 		return nil, err
 	}
-	dur := time.Since(start)
-
-	res := &Result{
-		Matches: make([][]Node, len(ms)),
-		Stats: Stats{
-			ElementsScanned: c.ElementsScanned,
-			Comparisons:     c.Comparisons,
-			PointerDerefs:   c.PointerDerefs,
-			PagesRead:       c.PagesRead,
-			PagesWritten:    c.PagesWritten,
-			Duration:        dur,
-		},
-	}
 	if tr != nil {
-		tr.BeginPhase(obs.PhaseOutput)
+		p.plan = rawStreamPlan(q.p, eng, lists)
 	}
-	for i, m := range ms {
-		row := make([]Node, len(m))
-		for j, id := range m {
-			n := t.Node(id)
-			row[j] = Node{Tag: t.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
-		}
-		res.Matches[i] = row
-	}
-	if tr != nil {
-		tr.EndPhase(obs.PhaseOutput)
-	}
-	if rec, ok := tr.(*obs.Recorder); ok {
-		res.Trace = rec.Report(c, time.Since(start))
-	}
-	return res, nil
+	// Duration covers the run only, not building the raw streams.
+	return p.run(opts.Context, RunOptions{}, time.Now(), false)
 }
 
 // rawStreamPlan describes the no-view setting: every query node reads the

@@ -1,6 +1,7 @@
 package viewjoin
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -144,5 +145,56 @@ func TestViewsBeatRawStreams(t *testing.T) {
 	if withViews.Stats.ElementsScanned >= raw.Stats.ElementsScanned {
 		t.Errorf("views should prune streams: %d vs %d scanned",
 			withViews.Stats.ElementsScanned, raw.Stats.ElementsScanned)
+	}
+}
+
+// TestEvaluateWithoutViewsPaging pins the raw-stream path to the same run
+// contract as the view path: EvalOptions.Limit/Offset select the
+// document-order slice of the oracle answer, sequentially and partitioned,
+// and a sequential run reports the very Stats of the same engine over
+// singleton element-scheme views — whose lists are the raw streams —
+// including Partitions, PageHits and FirstMatchNanos.
+func TestEvaluateWithoutViewsPaging(t *testing.T) {
+	d := GenerateXMark(0.05)
+	q := MustParseQuery("//site//item//name")
+	want := EvaluateDirect(d, q).Matches
+	vs, err := ParseViews("//site; //item; //name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := d.MaterializeViews(vs, SchemeElement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []Engine{EngineTwigStack, EnginePathStack} {
+		p, err := Prepare(d, q, mv, eng, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 2, 4} {
+			for _, pg := range [][2]int{{3, 2}, {3, 0}, {0, 5}, {4, len(want) - 2}, {2, len(want) + 1}} {
+				opts := &EvalOptions{Limit: pg[0], Offset: pg[1], Parallelism: par}
+				res, err := EvaluateWithoutViews(d, q, eng, opts)
+				if err != nil {
+					t.Fatalf("%v %+v: %v", eng, *opts, err)
+				}
+				page := pageOf(want, pg[0], pg[1])
+				if !samePage(res.Matches, page) {
+					t.Fatalf("%v %+v: %d rows, want the %d-row oracle slice", eng, *opts, len(res.Matches), len(page))
+				}
+				if par > 1 {
+					continue // a bounded partitioned run's counters depend on scheduling
+				}
+				ref, err := p.RunWith(context.Background(), RunOptions{Limit: pg[0], Offset: pg[1], Parallel: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, exp := res.Stats, ref.Stats
+				if !sameCounters(got, exp) || got.PageHits != exp.PageHits || got.Partitions != 1 ||
+					(got.FirstMatchNanos > 0) != (exp.FirstMatchNanos > 0) {
+					t.Errorf("%v %+v: stats %+v, singleton-view run %+v", eng, *opts, got, exp)
+				}
+			}
+		}
 	}
 }

@@ -1,18 +1,11 @@
 package viewjoin
 
 import (
-	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"viewjoin/internal/counters"
 	"viewjoin/internal/engine"
-	"viewjoin/internal/engine/twigstack"
-	vjengine "viewjoin/internal/engine/viewjoin"
 	"viewjoin/internal/match"
-	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
 )
@@ -89,16 +82,6 @@ func (p *PreparedQuery) partitionInfo() partitionInfo {
 		return p.ij
 	}
 	return nil
-}
-
-// parallelism resolves the prepare-time Parallelism option: 0 or 1 means
-// sequential, negative means GOMAXPROCS.
-func (p *PreparedQuery) parallelism() int {
-	k := p.opts.Parallelism
-	if k < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return k
 }
 
 // anchorNode walks the query's unary spine — the maximal pre-order prefix
@@ -223,30 +206,6 @@ func (p *PreparedQuery) spineOrdered() bool {
 	return ordered
 }
 
-// RunParallel executes the prepared plan as a range-partitioned parallel
-// run across up to k workers (k <= 0 uses GOMAXPROCS) and returns a Result
-// byte-identical to Run's: same matches in the same order, counters summed
-// across partitions, PeakMemoryBytes the largest single partition's peak,
-// and Stats.Partitions the number of jobs executed. When the plan yields
-// fewer than two jobs the run degrades to the sequential path. ctx bounds
-// every partition cooperatively, exactly as RunContext; a nil ctx runs
-// uninterruptible. Safe for concurrent use under the same conditions as
-// Run (prepare-time Tracer must be nil for concurrent calls).
-func (p *PreparedQuery) RunParallel(ctx context.Context, k int) (*Result, error) {
-	return p.runParallel(ctx, k, p.limits(), time.Now(), false, p.opts.Tracer)
-}
-
-// jobOut is one partition's outcome, written only by its worker.
-type jobOut struct {
-	ms      match.Set
-	c       counters.Counters
-	peak    int64
-	dur     time.Duration
-	first   time.Time
-	skipped bool
-	err     error
-}
-
 // quotaState coordinates a shared first-k quota across partition jobs.
 // Jobs are planned over ascending document chunks; when the cross-job
 // order follows job index (spineOrdered), once the maximal completed
@@ -290,126 +249,106 @@ func (qs *quotaState) complete(i, count int) {
 	}
 }
 
-// runParallel plans and executes a partitioned run. Partitions run with
-// nil tracers (Tracer implementations are not concurrency-safe); the
-// orchestrator instead emits one EvPartition event per job carrying its
-// wall time, so traced runs still expose the partition-span distribution.
+// runJobs executes a partitioned run on up to ro.Parallel workers and
+// returns the per-job outcomes. Jobs run untraced: Tracer implementations
+// are not concurrency-safe.
 //
-// Under a limit (lim.first() > 0) every job runs with the shared quota as
-// its own first-k bound, and when cross-job order follows job index
+// Under a limit (ro.first() > 0) every job runs with the page quota as its
+// own first-k bound, and when cross-job order follows job index
 // (spineOrdered) a quotaState additionally stops scanning partitions that
-// can no longer contribute to the page (see quotaState). Job outputs —
-// each already in document order — are combined by a k-way document-order
-// merge and the page sliced from the merged prefix.
-func (p *PreparedQuery) runParallel(ctx context.Context, k int, lim limits, start time.Time, includePrep bool, tr obs.Tracer) (*Result, error) {
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	jobs := p.planPartitions(k)
-	if len(jobs) <= 1 {
-		return p.run(ctx, lim, nil, start, includePrep, tr)
-	}
-	var interrupt func() error
-	if ctx != nil {
-		interrupt = contextInterrupt(ctx, p.eng, p.q.String())
-		if err := interrupt(); err != nil {
-			return nil, err
-		}
-	}
+// can no longer contribute to the page (see quotaState).
+//
+// A nil sink keeps every job accumulating inside its engine; the caller
+// merges the outputs. A non-nil sink — only for a bounded, spineOrdered
+// run of a streaming engine — has each job stream its matches into a
+// per-job channel, and the calling goroutine drains the channels in job
+// index order, which is then document order: the first row reaches the
+// sink as soon as job 0's engine emits it, while other partitions are
+// still scanning. Once the sink is done, a stop latch halts the remaining
+// jobs at their next interrupt poll.
+func (p *PreparedQuery) runJobs(jobs []engine.Restriction, interrupt func() error, ro RunOptions, sink *streamer) []jobOut {
 	var qs *quotaState
-	if lim.first() > 0 && p.spineOrdered() {
-		qs = newQuotaState(lim.first(), len(jobs))
-	}
-	if tr != nil {
-		if pl := p.lazyPlan(); pl != nil {
-			tr.Plan(pl)
-		}
-		tr.BeginPhase(obs.PhaseEvaluate)
-	}
-	outs := make([]jobOut, len(jobs))
-	workers := k
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				if qs != nil && int64(i) >= qs.cutoff.Load() {
-					outs[i].skipped = true
-					qs.complete(i, 0)
-					continue
-				}
-				jobInterrupt := interrupt
-				if qs != nil {
-					jobInterrupt = func() error {
-						if int64(i) >= qs.cutoff.Load() {
-							return engine.ErrStop
-						}
-						if interrupt != nil {
-							return interrupt()
-						}
-						return nil
-					}
-				}
-				outs[i] = p.runJob(&jobs[i], jobInterrupt, lim, nil)
-				if qs != nil {
-					qs.complete(i, len(outs[i].ms))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if tr != nil {
-		for i := range outs {
-			if !outs[i].skipped {
-				tr.Event(obs.EvPartition, -1, int64(outs[i].dur))
-			}
-		}
-		tr.EndPhase(obs.PhaseEvaluate)
-	}
-	var c counters.Counters
-	if includePrep {
-		c.Add(p.prepC)
+	if ro.first() > 0 && p.spineOrdered() {
+		qs = newQuotaState(ro.first(), len(jobs))
 	}
 	var (
-		peak       int64
-		firstMatch time.Time
-		executed   int
+		chans    []chan match.Match
+		stop     chan struct{}
+		stopOnce sync.Once
 	)
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, outs[i].err
+	if sink != nil {
+		// Each buffer holds the full per-job quota (no job emits more than
+		// ro.first() matches), so workers never block on a slow consumer
+		// and an early stop needs no drain protocol.
+		chans = make([]chan match.Match, len(jobs))
+		for i := range chans {
+			chans[i] = make(chan match.Match, ro.first())
 		}
-		if outs[i].skipped {
-			continue
+		stop = make(chan struct{})
+	}
+	jobInterrupt := func(i int) func() error {
+		if qs == nil {
+			return interrupt
 		}
-		executed++
-		c.Add(outs[i].c)
-		if outs[i].peak > peak {
-			peak = outs[i].peak
-		}
-		if t := outs[i].first; !t.IsZero() && (firstMatch.IsZero() || t.Before(firstMatch)) {
-			firstMatch = t
+		return func() error {
+			if int64(i) >= qs.cutoff.Load() {
+				return engine.ErrStop
+			}
+			select {
+			case <-stop: // nil (never ready) without a sink
+				return engine.ErrStop
+			default:
+			}
+			if interrupt != nil {
+				return interrupt()
+			}
+			return nil
 		}
 	}
-	// Jobs bound disjoint anchor ranges but spine bindings above them are
-	// not chunk-ordered; each job's output is itself in document order, so
-	// a k-way merge restores the canonical lexicographic order every
-	// sequential engine emits.
-	ms := mergeJobMatches(outs)
-	return p.buildResult(lim.slice(ms), c, peak, executed, start, firstMatch, tr), nil
+	outs := make([]jobOut, len(jobs))
+	wait := parallelFor(min(ro.Parallel, len(jobs)), len(jobs), func(i int) {
+		if chans != nil {
+			defer close(chans[i])
+		}
+		if qs != nil && int64(i) >= qs.cutoff.Load() {
+			outs[i].skipped = true
+			qs.complete(i, 0)
+			return
+		}
+		var emit func(match.Match) bool
+		emitted := 0
+		if sink != nil {
+			emit = func(m match.Match) bool {
+				chans[i] <- match.Clone(m)
+				emitted++
+				return true
+			}
+		}
+		outs[i] = p.exec(&jobs[i], jobInterrupt(i), ro, nil, emit)
+		if sink == nil {
+			emitted = len(outs[i].ms)
+		}
+		if qs != nil {
+			qs.complete(i, emitted)
+		}
+	})
+	for i := range chans {
+		for m := range chans[i] {
+			sink.deliver(m)
+			if sink.done {
+				stopOnce.Do(func() { close(stop) })
+			}
+		}
+	}
+	wait()
+	return outs
 }
 
 // mergeJobMatches k-way merges the per-job outputs — each already sorted
-// in document order — into one document-ordered set.
+// in document order — into one document-ordered set. Jobs bound disjoint
+// anchor ranges but spine bindings above them are not chunk-ordered, so
+// the merge is what restores the canonical lexicographic order every
+// sequential engine emits.
 func mergeJobMatches(outs []jobOut) match.Set {
 	total := 0
 	live := 0
@@ -419,12 +358,13 @@ func mergeJobMatches(outs []jobOut) match.Set {
 			live++
 		}
 	}
-	if live == 1 {
+	if live <= 1 {
 		for i := range outs {
 			if len(outs[i].ms) > 0 {
 				return outs[i].ms
 			}
 		}
+		return nil
 	}
 	ms := make(match.Set, 0, total)
 	pos := make([]int, len(outs))
@@ -442,160 +382,4 @@ func mergeJobMatches(outs []jobOut) match.Set {
 		pos[best]++
 	}
 	return ms
-}
-
-// runJob executes one partition with its own counters and its own buffer
-// pool of the configured size (pools simulate per-cursor-set caching and
-// cannot be shared across goroutines). A non-nil emit streams the job's
-// matches instead of accumulating them (ViewJoin/TwigStack only).
-func (p *PreparedQuery) runJob(r *engine.Restriction, interrupt func() error, lim limits, emit func(match.Match) bool) jobOut {
-	t0 := time.Now()
-	var out jobOut
-	io := counters.NewIO(&out.c, p.opts.BufferPoolPages)
-	io.SetStall(p.opts.IOLatency)
-	eopts := engine.Options{
-		DiskBased:      p.opts.DiskBased,
-		PageSize:       p.opts.PageSize,
-		UnguardedJumps: p.opts.UnguardedJumps,
-		Interrupt:      interrupt,
-		Restrict:       r,
-		// The shared quota doubles as the per-job bound: any match in the
-		// global first offset+limit is in its own partition's first
-		// offset+limit, so each job may stop (or cap its accumulation)
-		// there.
-		First: lim.first(),
-		After: lim.after,
-		Emit:  emit,
-	}
-	switch p.eng {
-	case EngineViewJoin:
-		var st vjengine.Stats
-		out.ms, st, out.err = p.vj.Run(io, eopts)
-		out.peak = int64(st.PeakWindowEntries) * 16
-	case EngineTwigStack:
-		var st twigstack.Stats
-		out.ms, st, out.err = p.ts.Run(io, eopts)
-		out.peak = int64(st.PeakWindowEntries) * 16
-	case EnginePathStack:
-		out.ms, out.err = p.ps.Run(io, eopts)
-	case EngineInterJoin:
-		out.ms, out.err = p.ij.Run(io, eopts)
-	}
-	io.DrainStall()
-	out.dur = time.Since(t0)
-	out.first = io.FirstMatchTime()
-	return out
-}
-
-// runParallelStream executes a bounded partitioned run delivering rows to
-// yield incrementally: each job streams its matches into a per-job channel
-// and the consumer drains the channels in job index order, which under
-// spineOrdered is document order across jobs — so the first row is
-// available as soon as job 0's engine emits it, while the other
-// partitions are still scanning. Channel buffers hold the full per-job
-// quota (every job emits at most lim.first() matches), so workers never
-// block on a slow consumer and an early stop needs no drain protocol.
-// The shared quotaState stops partitions that cannot contribute, and the
-// consumer additionally latches a stop — observed at the engines' next
-// interrupt poll — once the page is delivered or yield declines.
-//
-// Callers guarantee: len(jobs) > 1, lim.first() > 0, p.spineOrdered(),
-// and a streaming engine (ViewJoin or TwigStack).
-func (p *PreparedQuery) runParallelStream(ctx context.Context, jobs []engine.Restriction, lim limits, start time.Time, yield func(row []Node) bool) (*Result, error) {
-	var interrupt func() error
-	if ctx != nil {
-		interrupt = contextInterrupt(ctx, p.eng, p.q.String())
-		if err := interrupt(); err != nil {
-			return nil, err
-		}
-	}
-	qs := newQuotaState(lim.first(), len(jobs))
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	chans := make([]chan match.Match, len(jobs))
-	for i := range chans {
-		chans[i] = make(chan match.Match, lim.first())
-	}
-	outs := make([]jobOut, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer close(chans[i])
-			if int64(i) >= qs.cutoff.Load() {
-				outs[i].skipped = true
-				qs.complete(i, 0)
-				return
-			}
-			jobInterrupt := func() error {
-				if int64(i) >= qs.cutoff.Load() {
-					return engine.ErrStop
-				}
-				select {
-				case <-stop:
-					return engine.ErrStop
-				default:
-				}
-				if interrupt != nil {
-					return interrupt()
-				}
-				return nil
-			}
-			emitted := 0
-			outs[i] = p.runJob(&jobs[i], jobInterrupt, lim, func(m match.Match) bool {
-				chans[i] <- match.Clone(m)
-				emitted++
-				return true
-			})
-			qs.complete(i, emitted)
-		}(i)
-	}
-
-	skip := lim.offset
-	delivered := 0
-	var firstYield time.Time
-	row := make([]Node, p.q.p.Size())
-	for i := range chans {
-		for m := range chans[i] {
-			if lim.limit > 0 && delivered >= lim.limit {
-				continue // page done: drain the bounded remainder
-			}
-			if skip > 0 {
-				skip--
-				continue
-			}
-			for j, id := range m {
-				n := p.tree.Node(id)
-				row[j] = Node{Tag: p.tree.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
-			}
-			if firstYield.IsZero() {
-				firstYield = time.Now()
-			}
-			delivered++
-			if !yield(row) || (lim.limit > 0 && delivered >= lim.limit) {
-				halt()
-			}
-		}
-	}
-	wg.Wait()
-
-	var c counters.Counters
-	var peak int64
-	executed := 0
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, outs[i].err
-		}
-		if outs[i].skipped {
-			continue
-		}
-		executed++
-		c.Add(outs[i].c)
-		if outs[i].peak > peak {
-			peak = outs[i].peak
-		}
-	}
-	return p.buildResult(nil, c, peak, executed, start, firstYield, nil), nil
 }

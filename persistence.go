@@ -85,20 +85,13 @@ func (v *MaterializedView) SaveViewFile(path string) (int64, error) {
 // unavailable (ListSizes and the selection API still work, computed from
 // the on-disk lists).
 func (d *Document) LoadView(r io.Reader) (*MaterializedView, error) {
-	snap := d.snap()
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, loadErr(err)
-	}
-	want := treeFingerprint(snap.tree)
-	if got := binary.LittleEndian.Uint64(hdr[:]); got != want {
-		return nil, &DocMismatchError{Saved: got, Want: want}
-	}
-	st, err := store.ReadViewStore(r)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, loadErr(err)
 	}
-	return newView(d, snap, st.View, nil, st, nil), nil
+	// The buffer is private to the view, so unlike LoadViewBytes no backend
+	// owns it and the view stays maintainable.
+	return d.adoptView(data, nil)
 }
 
 // LoadViewBytes is LoadView over an in-memory file image, and is the
@@ -109,7 +102,7 @@ func (d *Document) LoadView(r io.Reader) (*MaterializedView, error) {
 // can be served concurrently: the segments are immutable and every reader
 // carries its own cursor state.
 func (d *Document) LoadViewBytes(data []byte) (*MaterializedView, error) {
-	return d.loadViewBackend(store.NewResidentBackend(data))
+	return d.adoptView(data, store.NewResidentBackend(data))
 }
 
 // OpenView loads a saved view file through the resident storage backend:
@@ -121,7 +114,7 @@ func (d *Document) OpenView(path string) (*MaterializedView, error) {
 	if err != nil {
 		return nil, loadErr(err)
 	}
-	return d.loadViewBackend(be)
+	return d.adoptView(be.Bytes(), be)
 }
 
 // LoadViewMmap memory-maps a saved view file read-only and slices the
@@ -142,7 +135,7 @@ func (d *Document) LoadViewMmap(path string) (*MaterializedView, error) {
 	if err != nil {
 		return nil, loadErr(err)
 	}
-	mv, err := d.loadViewBackend(be)
+	mv, err := d.adoptView(be.Bytes(), be)
 	if err != nil {
 		be.Close()
 		return nil, err
@@ -150,11 +143,11 @@ func (d *Document) LoadViewMmap(path string) (*MaterializedView, error) {
 	return mv, nil
 }
 
-// loadViewBackend validates and adopts a backend's container image. On
-// success the view owns the backend; on failure the caller does.
-func (d *Document) loadViewBackend(be store.Backend) (*MaterializedView, error) {
+// adoptView validates and adopts a container image: the fingerprint
+// header, then the store. be, when non-nil, owns data; on success the view
+// owns be, on failure the caller does.
+func (d *Document) adoptView(data []byte, be store.Backend) (*MaterializedView, error) {
 	snap := d.snap()
-	data := be.Bytes()
 	if len(data) < 8 {
 		return nil, loadErr(fmt.Errorf("reading fingerprint: %w", io.ErrUnexpectedEOF))
 	}

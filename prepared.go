@@ -34,12 +34,12 @@ import (
 // join scratch) from an internal sync.Pool and resets it in place instead
 // of reallocating, so a warm Run allocates only for its output.
 //
-// A PreparedQuery is immutable after Prepare and safe for concurrent Run
-// calls provided the captured EvalOptions.Tracer is nil (tracers are not
+// A PreparedQuery is immutable after Prepare and safe for concurrent runs
+// provided the captured EvalOptions.Tracer is nil (tracers are not
 // required to be concurrency-safe); documents and materialized views are
-// already immutable after construction. RunTraced attaches a tracer to a
-// single execution instead, so concurrent traced runs of one shared plan
-// are safe as long as each call brings its own tracer.
+// already immutable after construction. RunOptions.Tracer attaches a
+// tracer to a single execution instead, so concurrent traced runs of one
+// shared plan are safe as long as each call brings its own tracer.
 type PreparedQuery struct {
 	d *Document
 	// tree is the document snapshot the plan was compiled against; runs
@@ -53,8 +53,8 @@ type PreparedQuery struct {
 
 	// plan is the obs.Plan delivered to tracers. Prepare builds it eagerly
 	// when it was given a tracer; otherwise planOnce builds it on the first
-	// traced run (RunTraced on a plan prepared untraced, e.g. out of a
-	// serving cache), keeping the untraced hot path allocation-free.
+	// traced run (a per-call tracer on a plan prepared untraced, e.g. out
+	// of a serving cache), keeping the untraced hot path allocation-free.
 	plan     *obs.Plan
 	planOnce sync.Once
 
@@ -218,72 +218,16 @@ func (p *PreparedQuery) FootprintBytes() int64 {
 	return f
 }
 
-// limits is the resolved pagination state of one execution: the public
-// Limit/Offset/After knobs normalized for the engine layer.
-type limits struct {
-	limit  int
-	offset int
-	after  []int32
-}
-
-// first is the engine-level output quota: the run may stop after
-// offset+limit matches (counted after the cursor filter), because the
-// requested page is fully determined by that prefix. 0 (no limit) leaves
-// the run unbounded — an offset alone must still enumerate everything
-// after the skipped prefix.
-func (l limits) first() int {
-	if l.limit <= 0 {
-		return 0
-	}
-	return l.offset + l.limit
-}
-
-// slice reduces an engine's (already bounded, cursor-filtered) document-
-// order output to the requested page.
-func (l limits) slice(ms match.Set) match.Set {
-	if l.offset > 0 {
-		if l.offset >= len(ms) {
-			ms = ms[:0]
-		} else {
-			ms = ms[l.offset:]
-		}
-	}
-	if l.limit > 0 && len(ms) > l.limit {
-		ms = ms[:l.limit]
-	}
-	return ms
-}
-
-// limits resolves the prepare-time Limit/Offset options.
-func (p *PreparedQuery) limits() limits {
-	return limits{limit: p.opts.Limit, offset: p.opts.Offset}
-}
-
-// Run executes the prepared plan once and returns a fresh Result. Stats
-// cover this execution only — preparation costs (for InterJoin, the view
-// stream scans) were paid at Prepare time and are not re-charged; see
-// Evaluate for the historical one-shot accounting. A context captured in
-// the prepare-time EvalOptions bounds the run; RunContext supplies a
-// per-request context instead.
-func (p *PreparedQuery) Run() (*Result, error) {
-	return p.run(p.opts.Context, p.limits(), nil, time.Now(), false, p.opts.Tracer)
-}
-
-// RunContext is Run bounded by ctx: cancellation or deadline expiry aborts
-// the engine at its next cooperative checkpoint and returns a
-// *CanceledError (no partial results, and the pooled evaluator scratch is
-// recycled normally). ctx overrides any context captured at Prepare time;
-// a nil ctx runs uninterruptible. This is the serving entry point: one
-// immutable PreparedQuery, many concurrent requests, each with its own
-// deadline.
-func (p *PreparedQuery) RunContext(ctx context.Context) (*Result, error) {
-	return p.run(ctx, p.limits(), nil, time.Now(), false, p.opts.Tracer)
-}
-
-// StreamOptions selects a page of the result for RunPage and RunStream,
-// overriding any prepare-time Limit/Offset for that one execution.
-type StreamOptions struct {
-	// Limit bounds the page to Limit matches; 0 means unbounded.
+// RunOptions are the per-call values of one execution. One rule governs
+// them: a zero field takes the prepare-time EvalOptions value — Limit,
+// Offset, Parallel (EvalOptions.Parallelism) and Tracer — and the same
+// holds for a nil ctx passed to RunWith (EvalOptions.Context). After and
+// Yield have no prepare-time counterpart; their zero value is off.
+type RunOptions struct {
+	// Limit bounds the result to the first Limit matches in document
+	// order. The bound is pushed into the engines (see EvalOptions.Limit),
+	// so peak result memory is O(Limit + open enumeration windows) and the
+	// streaming engines stop scanning once the page is determined.
 	Limit int
 	// Offset skips the first Offset matches in document order (after the
 	// After cursor filter, when both are set).
@@ -295,133 +239,114 @@ type StreamOptions struct {
 	// whole enumeration windows ending before the cursor are skipped
 	// without being re-enumerated.
 	After []int32
-	// Parallelism requests a range-partitioned parallel run, as
-	// EvalOptions.Parallelism; 0 inherits the prepare-time setting.
-	Parallelism int
+	// Parallel requests a range-partitioned run across up to Parallel
+	// workers: 1 runs sequentially, a negative value uses GOMAXPROCS. The
+	// result is byte-identical to the sequential one — same matches in the
+	// same order, counters summed across partitions, PeakMemoryBytes the
+	// largest single partition's peak, Stats.Partitions the number of jobs
+	// executed. A plan that yields fewer than two jobs runs sequentially.
+	Parallel int
+	// Tracer observes this execution only. Because it travels with the
+	// call rather than the plan, concurrent runs of one shared
+	// PreparedQuery are safe as long as every call brings its own tracer —
+	// this is how a serving layer traces requests on cached, untraced plans.
+	Tracer obs.Tracer
+	// Yield, when non-nil, receives each row of the page as it is produced
+	// instead of materializing the result; the returned Result then
+	// carries Stats only. The row slice is reused between calls — yield
+	// must copy any bindings it keeps. Returning false stops the run early
+	// (the engines unwind at their next checkpoint and RunWith still
+	// returns a nil error).
+	//
+	// The streaming engines (ViewJoin, TwigStack) deliver in document
+	// order while the scan is still in flight — sequentially, and under a
+	// bounded partitioned run whose cross-job order follows job index
+	// (every query node above the partition anchor binds at most one
+	// candidate), where job 0's rows are yielded while later partitions
+	// are still scanning. PathStack, InterJoin and the remaining
+	// partitioned shapes cannot deliver before ordering is established;
+	// they evaluate the page first and then replay it through yield.
+	Yield func(row []Node) bool
 }
 
-// streamLimits resolves per-call stream options against the prepare-time
-// defaults.
-func (p *PreparedQuery) streamLimits(so *StreamOptions) (limits, int) {
-	if so == nil {
-		return p.limits(), p.parallelism()
+// first is the engine-level output quota: the run may stop after
+// offset+limit matches (counted after the cursor filter), because the
+// requested page is fully determined by that prefix. 0 (no limit) leaves
+// the run unbounded — an offset alone must still enumerate everything
+// after the skipped prefix.
+func (ro RunOptions) first() int {
+	if ro.Limit <= 0 {
+		return 0
 	}
-	lim := limits{limit: so.Limit, offset: so.Offset, after: so.After}
-	k := so.Parallelism
-	if k == 0 {
-		k = p.opts.Parallelism
-	}
-	if k < 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	return lim, k
+	return ro.Offset + ro.Limit
 }
 
-// RunPage executes the prepared plan once and returns the page of the
-// result selected by so: the first so.Limit matches in document order
-// after skipping so.Offset of them, resuming strictly after the so.After
-// cursor when set. The page bound is pushed into the engines (see
-// EvalOptions.Limit), so peak result memory is O(Limit + open enumeration
-// windows) rather than O(total matches), and the streaming engines stop
-// scanning as soon as the page is determined. ctx bounds the run as in
-// RunContext. Safe for concurrent use under the same conditions as Run.
-func (p *PreparedQuery) RunPage(ctx context.Context, so *StreamOptions) (*Result, error) {
-	return p.RunPageTraced(ctx, so, p.opts.Tracer)
-}
-
-// RunPageTraced is RunPage with tr observing this single execution,
-// overriding any prepare-time Tracer — the paged analogue of RunTraced,
-// and like it safe for concurrent calls on one shared plan as long as
-// every call brings its own tracer. A nil tr runs untraced.
-func (p *PreparedQuery) RunPageTraced(ctx context.Context, so *StreamOptions, tr obs.Tracer) (*Result, error) {
-	lim, k := p.streamLimits(so)
-	if k > 1 {
-		return p.runParallel(ctx, k, lim, time.Now(), false, tr)
+// slice reduces an engine's (already bounded, cursor-filtered) document-
+// order output to the requested page.
+func (ro RunOptions) slice(ms match.Set) match.Set {
+	if ro.Offset > 0 {
+		ms = ms[min(ro.Offset, len(ms)):]
 	}
-	return p.run(ctx, lim, nil, time.Now(), false, tr)
+	if ro.Limit > 0 && len(ms) > ro.Limit {
+		ms = ms[:ro.Limit]
+	}
+	return ms
 }
 
-// RunStream executes the prepared plan once, delivering each match of the
-// selected page to yield as it is produced instead of materializing the
-// result. The row slice is reused between calls — yield must copy any
-// bindings it keeps. Returning false from yield stops the run early (the
-// engines unwind at their next checkpoint and the call still returns a
-// nil error). The returned Result carries Stats only; Matches is empty.
+// resolve applies the RunOptions zero-field rule against the prepare-time
+// options. It is the one place the parallelism degree is decided.
+func (p *PreparedQuery) resolve(ctx context.Context, ro RunOptions) (context.Context, RunOptions) {
+	if ctx == nil {
+		ctx = p.opts.Context
+	}
+	if ro.Limit == 0 {
+		ro.Limit = p.opts.Limit
+	}
+	if ro.Offset == 0 {
+		ro.Offset = p.opts.Offset
+	}
+	if ro.Parallel == 0 {
+		ro.Parallel = p.opts.Parallelism
+	}
+	if ro.Parallel < 0 {
+		ro.Parallel = runtime.GOMAXPROCS(0)
+	}
+	if ro.Tracer == nil {
+		ro.Tracer = p.opts.Tracer
+	}
+	return ctx, ro
+}
+
+// RunWith executes the prepared plan once under ro and returns a fresh
+// Result. Stats cover this execution only — preparation costs (for
+// InterJoin, the view stream scans) were paid at Prepare time and are not
+// re-charged; see Evaluate for the one-shot accounting.
 //
-// The streaming engines (ViewJoin, TwigStack) deliver incrementally in
-// document order, so the first row arrives while the scan is still in
-// flight (see Stats.FirstMatchNanos) — sequentially, and also under a
-// partitioned bounded run when cross-job order follows job index
-// (spineOrdered): partition workers then stream into a document-order
-// merge that yields job 0's rows while later partitions are still
-// scanning. The sort-before-output engines (PathStack, InterJoin) and
-// the remaining partitioned shapes cannot deliver before ordering is
-// established; they evaluate the bounded page first and then replay it
-// through yield.
-func (p *PreparedQuery) RunStream(ctx context.Context, so *StreamOptions, yield func(row []Node) bool) (*Result, error) {
-	lim, k := p.streamLimits(so)
-	streamEng := p.eng == EngineViewJoin || p.eng == EngineTwigStack
-	if k > 1 && streamEng && lim.first() > 0 {
-		start := time.Now() // planning is part of the run, as in runParallel
-		if jobs := p.planPartitions(k); len(jobs) > 1 && p.spineOrdered() {
-			return p.runParallelStream(ctx, jobs, lim, start, yield)
-		}
-		// Unpartitionable or unordered across jobs: the parallel
-		// materialize-and-replay path below still applies the page bound.
-	}
-	if k > 1 || !streamEng {
-		var res *Result
-		var err error
-		if k > 1 {
-			res, err = p.runParallel(ctx, k, lim, time.Now(), false, p.opts.Tracer)
-		} else {
-			res, err = p.run(ctx, lim, nil, time.Now(), false, p.opts.Tracer)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range res.Matches {
-			if !yield(row) {
-				break
-			}
-		}
-		res.Matches = nil
-		return res, nil
-	}
-	// True streaming: the collector hands each match to emit in document
-	// order; skip the offset prefix here (it still counts against the
-	// engine quota, which is offset+limit) and stop the run when yield
-	// declines.
-	skip := lim.offset
-	row := make([]Node, p.q.p.Size())
-	emit := func(m match.Match) bool {
-		if skip > 0 {
-			skip--
-			return true
-		}
-		for j, id := range m {
-			n := p.tree.Node(id)
-			row[j] = Node{Tag: p.tree.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
-		}
-		return yield(row)
-	}
-	return p.run(ctx, lim, emit, time.Now(), false, p.opts.Tracer)
+// ctx bounds the run: cancellation or deadline expiry aborts the engines
+// at their next cooperative checkpoint and returns a *CanceledError (no
+// partial results; the pooled evaluator scratch is recycled normally). A
+// nil ctx with no prepare-time Context runs uninterruptible at zero
+// hot-path cost. This is the serving entry point: one immutable
+// PreparedQuery, many concurrent requests, each with its own deadline,
+// page and tracer.
+func (p *PreparedQuery) RunWith(ctx context.Context, ro RunOptions) (*Result, error) {
+	return p.run(ctx, ro, time.Now(), false)
 }
 
-// RunTraced executes the prepared plan once with tr observing this single
-// execution, overriding any prepare-time Tracer. k > 1 requests a
-// range-partitioned parallel run across up to k workers (as RunParallel);
-// k <= 1 keeps the sequential path. Because the tracer travels with the
-// call rather than the plan, concurrent RunTraced calls on one shared
-// PreparedQuery are safe provided every call supplies its own tracer —
-// this is how a serving layer records full traces of requests running
-// cached (untraced) plans. A nil tr runs untraced, identically to
-// RunContext/RunParallel.
+// Run is RunWith with the prepare-time options.
+func (p *PreparedQuery) Run() (*Result, error) {
+	return p.RunWith(p.opts.Context, RunOptions{})
+}
+
+// RunParallel is RunWith with k as RunOptions.Parallel.
+func (p *PreparedQuery) RunParallel(ctx context.Context, k int) (*Result, error) {
+	return p.RunWith(ctx, RunOptions{Parallel: k})
+}
+
+// RunTraced is RunWith with k as RunOptions.Parallel and tr as
+// RunOptions.Tracer.
 func (p *PreparedQuery) RunTraced(ctx context.Context, k int, tr obs.Tracer) (*Result, error) {
-	if k > 1 {
-		return p.runParallel(ctx, k, p.limits(), time.Now(), false, tr)
-	}
-	return p.run(ctx, p.limits(), nil, time.Now(), false, tr)
+	return p.RunWith(ctx, RunOptions{Parallel: k, Tracer: tr})
 }
 
 // pageHook adapts buffer-pool lookups into tracer page events.
@@ -453,16 +378,14 @@ func (p *PreparedQuery) lazyPlan() *obs.Plan {
 	return p.plan
 }
 
-// run executes the prepared plan, timing from start (which a one-shot
+// run executes the plan under ro, timing from start (which a one-shot
 // Evaluate sets before preparation so Duration keeps covering the whole
 // call). includePrep folds preparation-time counters into the Stats. A
 // non-nil ctx installs a cooperative interrupt hook in the engine options;
 // the hook wraps the context error in a *CanceledError so callers see
-// which query and engine were aborted. tr observes this execution only —
-// the Run/RunContext entry points pass the prepare-time Tracer, RunTraced
-// a per-call one.
-func (p *PreparedQuery) run(ctx context.Context, lim limits, emit func(match.Match) bool,
-	start time.Time, includePrep bool, tr obs.Tracer) (*Result, error) {
+// which query and engine were aborted.
+func (p *PreparedQuery) run(ctx context.Context, ro RunOptions, start time.Time, includePrep bool) (*Result, error) {
+	ctx, ro = p.resolve(ctx, ro)
 	var interrupt func() error
 	if ctx != nil {
 		interrupt = contextInterrupt(ctx, p.eng, p.q.String())
@@ -472,18 +395,117 @@ func (p *PreparedQuery) run(ctx context.Context, lim limits, emit func(match.Mat
 			return nil, err
 		}
 	}
-	var c counters.Counters
-	if includePrep {
-		c.Add(p.prepC)
-	}
-	io := counters.NewIO(&c, p.opts.BufferPoolPages)
-	io.SetStall(p.opts.IOLatency)
+	tr := ro.Tracer
 	if tr != nil {
-		io.Page = pageHook(tr)
 		if pl := p.lazyPlan(); pl != nil {
 			tr.Plan(pl)
 		}
 		tr.BeginPhase(obs.PhaseEvaluate)
+	}
+	jobs := p.planPartitions(ro.Parallel)
+	var st *streamer
+	live := false
+	if ro.Yield != nil {
+		st = &streamer{tree: p.tree, yield: ro.Yield, row: make([]Node, p.q.p.Size()), skip: ro.Offset, left: -1}
+		if ro.Limit > 0 {
+			st.left = ro.Limit
+		}
+		// Rows can flow straight out of the engines only when they arrive
+		// in document order; otherwise the page is replayed below.
+		live = (p.eng == EngineViewJoin || p.eng == EngineTwigStack) &&
+			(len(jobs) < 2 || ro.first() > 0 && p.spineOrdered())
+	}
+	var outs []jobOut
+	if len(jobs) < 2 {
+		var emit func(match.Match) bool
+		if live {
+			emit = st.deliver
+		}
+		outs = []jobOut{p.exec(nil, interrupt, ro, tr, emit)}
+	} else {
+		var sink *streamer
+		if live {
+			sink = st
+		}
+		outs = p.runJobs(jobs, interrupt, ro, sink)
+		if tr != nil {
+			// Partitions run untraced (tracers are not concurrency-safe);
+			// one event per job still exposes the partition-span
+			// distribution.
+			for i := range outs {
+				if !outs[i].skipped {
+					tr.Event(obs.EvPartition, -1, int64(outs[i].dur))
+				}
+			}
+		}
+	}
+	if tr != nil {
+		tr.EndPhase(obs.PhaseEvaluate)
+	}
+
+	var c counters.Counters
+	if includePrep {
+		c.Add(p.prepC)
+	}
+	var (
+		peak       int64
+		firstMatch time.Time
+		executed   int
+	)
+	for i := range outs {
+		if outs[i].err != nil {
+			return nil, outs[i].err
+		}
+		if outs[i].skipped {
+			continue
+		}
+		executed++
+		c.Add(outs[i].c)
+		peak = max(peak, outs[i].peak)
+		if t := outs[i].first; !t.IsZero() && (firstMatch.IsZero() || t.Before(firstMatch)) {
+			firstMatch = t
+		}
+	}
+	ms := mergeJobMatches(outs)
+	if st != nil {
+		if !live {
+			for i := 0; i < len(ms) && !st.done; i++ {
+				st.deliver(ms[i])
+			}
+		}
+		ms = nil
+	}
+	return p.buildResult(ro.slice(ms), c, peak, executed, start, firstMatch, tr), nil
+}
+
+// jobOut is one execution's outcome — the whole run, or one partition of
+// a parallel one, written only by its worker.
+type jobOut struct {
+	ms      match.Set
+	c       counters.Counters
+	peak    int64
+	dur     time.Duration
+	first   time.Time
+	skipped bool
+	err     error
+}
+
+// exec runs the engine once over restriction r (nil: the whole document)
+// with its own counters and its own buffer pool of the configured size
+// (pools simulate per-cursor-set caching and cannot be shared across
+// goroutines). A non-nil emit streams the matches instead of accumulating
+// them (ViewJoin/TwigStack only).
+func (p *PreparedQuery) exec(r *engine.Restriction, interrupt func() error, ro RunOptions,
+	tr obs.Tracer, emit func(match.Match) bool) jobOut {
+	t0 := time.Now()
+	var out jobOut
+	// The IO keeps a pointer to the counters, which therefore live on the
+	// heap; keeping them apart from out keeps that allocation small.
+	var c counters.Counters
+	io := counters.NewIO(&c, p.opts.BufferPoolPages)
+	io.SetStall(p.opts.IOLatency)
+	if tr != nil {
+		io.Page = pageHook(tr)
 	}
 	eopts := engine.Options{
 		Tracer:         tr,
@@ -491,42 +513,84 @@ func (p *PreparedQuery) run(ctx context.Context, lim limits, emit func(match.Mat
 		PageSize:       p.opts.PageSize,
 		UnguardedJumps: p.opts.UnguardedJumps,
 		Interrupt:      interrupt,
-		Emit:           emit,
-		First:          lim.first(),
-		After:          lim.after,
+		Restrict:       r,
+		// Under partitioning the page quota doubles as the per-job bound:
+		// any match in the global first offset+limit is in its own
+		// partition's first offset+limit.
+		First: ro.first(),
+		After: ro.After,
+		Emit:  emit,
 	}
-	var (
-		ms      match.Set
-		peak    int64
-		evalErr error
-	)
 	switch p.eng {
 	case EngineViewJoin:
 		var st vjengine.Stats
-		ms, st, evalErr = p.vj.Run(io, eopts)
-		peak = int64(st.PeakWindowEntries) * 16
+		out.ms, st, out.err = p.vj.Run(io, eopts)
+		out.peak = int64(st.PeakWindowEntries) * 16
 	case EngineTwigStack:
 		var st twigstack.Stats
-		ms, st, evalErr = p.ts.Run(io, eopts)
-		peak = int64(st.PeakWindowEntries) * 16
+		out.ms, st, out.err = p.ts.Run(io, eopts)
+		out.peak = int64(st.PeakWindowEntries) * 16
 	case EnginePathStack:
-		ms, evalErr = p.ps.Run(io, eopts)
+		out.ms, out.err = p.ps.Run(io, eopts)
 	case EngineInterJoin:
-		ms, evalErr = p.ij.Run(io, eopts)
+		out.ms, out.err = p.ij.Run(io, eopts)
 	}
 	io.DrainStall()
-	if tr != nil {
-		tr.EndPhase(obs.PhaseEvaluate)
+	out.c = c
+	out.dur = time.Since(t0)
+	out.first = io.FirstMatchTime()
+	return out
+}
+
+// streamer delivers matches to a RunOptions.Yield in document order: it
+// skips the Offset prefix, renders each row into one reused slice, and is
+// done once the page is full or yield declines.
+type streamer struct {
+	tree  *xmltree.Document
+	yield func(row []Node) bool
+	row   []Node
+	skip  int
+	left  int // rows the page still takes; negative when unbounded
+	done  bool
+}
+
+// deliver hands m to yield and reports yield's verdict. A full page is not
+// a refusal: the engines' own quota stops the run at that same match.
+func (s *streamer) deliver(m match.Match) bool {
+	if s.done {
+		return false
 	}
-	if evalErr != nil {
-		return nil, evalErr
+	if s.skip > 0 {
+		s.skip--
+		return true
 	}
-	return p.buildResult(lim.slice(ms), c, peak, 1, start, io.FirstMatchTime(), tr), nil
+	fillRow(s.tree, s.row, m)
+	ok := s.yield(s.row)
+	s.left--
+	s.done = !ok || s.left == 0
+	return ok
+}
+
+// fillRow renders match m's node bindings over tree t into row.
+func fillRow(t *xmltree.Document, row []Node, m match.Match) {
+	for j, id := range m {
+		n := t.Node(id)
+		row[j] = Node{Tag: t.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
+	}
+}
+
+// rows renders a match set as freshly allocated result rows.
+func rows(t *xmltree.Document, ms match.Set) [][]Node {
+	out := make([][]Node, len(ms))
+	for i, m := range ms {
+		out[i] = make([]Node, len(m))
+		fillRow(t, out[i], m)
+	}
+	return out
 }
 
 // buildResult renders an engine's match set into the public Result,
-// stamping the run's counters into Stats and resolving node bindings
-// (shared by the sequential and partitioned paths).
+// stamping the run's counters into Stats and resolving node bindings.
 func (p *PreparedQuery) buildResult(ms match.Set, c counters.Counters, peak int64, partitions int,
 	start time.Time, firstMatch time.Time, tr obs.Tracer) *Result {
 	var firstNanos int64
@@ -534,7 +598,6 @@ func (p *PreparedQuery) buildResult(ms match.Set, c counters.Counters, peak int6
 		firstNanos = firstMatch.Sub(start).Nanoseconds()
 	}
 	res := &Result{
-		Matches: make([][]Node, len(ms)),
 		Stats: Stats{
 			ElementsScanned: c.ElementsScanned,
 			Comparisons:     c.Comparisons,
@@ -553,14 +616,7 @@ func (p *PreparedQuery) buildResult(ms match.Set, c counters.Counters, peak int6
 	if tr != nil {
 		tr.BeginPhase(obs.PhaseOutput)
 	}
-	for i, m := range ms {
-		row := make([]Node, len(m))
-		for j, id := range m {
-			n := p.tree.Node(id)
-			row[j] = Node{Tag: p.tree.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
-		}
-		res.Matches[i] = row
-	}
+	res.Matches = rows(p.tree, ms)
 	if tr != nil {
 		tr.EndPhase(obs.PhaseOutput)
 	}
@@ -583,49 +639,28 @@ type BatchResult struct {
 // PreparedQuery may appear (or be run) multiple times — concurrent Run
 // calls are safe as long as every query was prepared with a nil Tracer.
 func EvaluateBatch(queries []*PreparedQuery, parallel int) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	if parallel > len(queries) {
-		parallel = len(queries)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				r, err := queries[i].Run()
-				out[i] = BatchResult{Result: r, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	out := make([]BatchResult, len(queries))
+	parallelFor(parallel, len(queries), func(i int) {
+		r, err := queries[i].Run()
+		out[i] = BatchResult{Result: r, Err: err}
+	})()
 	return out
 }
 
-// parallelFor runs work(0..n-1) across a worker pool bounded by GOMAXPROCS
-// (sequentially for n <= 1). Workers pull indices from a shared counter,
-// so output determinism is the caller's: write only to slot i.
-func parallelFor(n int, work func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+// parallelFor runs work(0..n-1) on up to workers goroutines pulling
+// indices from a shared counter — inline, before it returns, when that is
+// one or fewer — and returns a wait that blocks until every call has
+// returned. Output determinism is the caller's: write only to slot i.
+func parallelFor(workers, n int, work func(i int)) (wait func()) {
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			work(i)
 		}
-		return
+		return func() {}
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -642,7 +677,7 @@ func parallelFor(n int, work func(i int)) {
 			}
 		}()
 	}
-	wg.Wait()
+	return wg.Wait
 }
 
 // buildVSQ wraps vsq.Build in the segment phase span.

@@ -7,6 +7,12 @@
 # Runs, in order:
 #   1. gofmt: no file may need reformatting
 #   2. tier-1 verify: go build, go vet, go test, go test -race (ROADMAP.md)
+#   2b. scheduling independence: the root package and internal/server
+#      again under -cpu 1,2,4 -shuffle=on, so a test that assumes
+#      scheduling it does not control fails here, not on a 2-CPU box
+#   2c. benchmark module: go vet and go test in perfbench/ (its own
+#      module, outside the root ./... pattern), so an API change that
+#      breaks the benchmark fails CI
 #   3. store coverage floor: the storage layer is the persistence trust
 #      boundary; its statement coverage must stay >= VJCI_STORE_COV (85%)
 #   3b. engine coverage floor: the evaluation engines (internal/engine/...)
@@ -78,6 +84,11 @@ echo "== tier-1: test"
 go test ./...
 echo "== tier-1: test -race"
 go test -race ./...
+echo "== scheduling independence: -cpu 1,2,4 -shuffle=on"
+go test -count=1 -cpu 1,2,4 -shuffle=on . ./internal/server
+echo "== benchmark module: perfbench vet + test"
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 echo "== store coverage floor (>= ${store_cov}%)"
 cov="$(go test -count=1 -cover ./internal/store | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"

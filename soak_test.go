@@ -1,7 +1,6 @@
 package viewjoin
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -23,41 +22,14 @@ func soakKs() []int {
 	return ks
 }
 
-// checkParallelEquivalence asserts the partitioned path reproduces the
-// sequential result byte for byte — same matches, same order, same node
-// fields — for every K in the soak grid.
-func checkParallelEquivalence(t *testing.T, label string, p *PreparedQuery, seq *Result) {
-	t.Helper()
-	for _, k := range soakKs() {
-		par, err := p.RunParallel(context.Background(), k)
-		if err != nil {
-			t.Fatalf("%s: RunParallel(K=%d): %v", label, k, err)
-		}
-		if !identicalMatches(par, seq) {
-			t.Fatalf("%s: RunParallel(K=%d) diverges from Run: %d vs %d matches",
-				label, k, len(par.Matches), len(seq.Matches))
-		}
-		if par.Stats.Partitions < 1 {
-			t.Fatalf("%s: RunParallel(K=%d) reported %d partitions", label, k, par.Stats.Partitions)
-		}
-	}
-}
-
-// checkPagedEquivalence asserts the bounded entry points (RunPage and
-// RunStream, sequential and partitioned) reproduce document-order slices
-// of the sequential result under every K in the soak grid: a leading
-// page, an interior page, and a page straddling the end of the result.
-func checkPagedEquivalence(t *testing.T, label string, p *PreparedQuery, seq *Result) {
+// checkSoakMatrix runs the RunOptions matrix (checkRunMatrix) over the
+// soak grid: every K, and a leading page, an interior page, and a page
+// straddling the end of the result.
+func checkSoakMatrix(t *testing.T, label string, p *PreparedQuery, seq *Result) {
 	t.Helper()
 	n := len(seq.Matches)
-	tail := n - 2
-	if tail < 0 {
-		tail = 0
-	}
-	pages := [][2]int{{3, 0}, {5, n / 2}, {4, tail}}
-	for _, pg := range pages {
-		checkPages(t, label, p, seq, pg[0], pg[1], soakKs())
-	}
+	pages := [][2]int{{3, 0}, {5, n / 2}, {4, max(n-2, 0)}}
+	checkRunMatrix(t, label, p, seq, soakKs(), pages)
 }
 
 // soakCase is one engine/scheme pairing of the workload soak; together the
@@ -79,9 +51,10 @@ func soakCases() []soakCase {
 
 // TestParallelWorkloadEquivalence is the workload half of the metamorphic
 // soak: every §VI benchmark query on xmark and nasa, on all four engines,
-// must produce byte-identical results from RunParallel and sequential Run
-// for K ∈ {1, 2, 3, NumCPU} — and the sequential result must agree with
-// the brute-force oracle, anchoring both sides of the equivalence.
+// must produce byte-identical results from every RunOptions shape and
+// sequential Run for K ∈ {1, 2, 3, NumCPU} — and the sequential result
+// must agree with the brute-force oracle, anchoring both sides of the
+// equivalence.
 func TestParallelWorkloadEquivalence(t *testing.T) {
 	type job struct {
 		doc     *Document
@@ -120,8 +93,7 @@ func TestParallelWorkloadEquivalence(t *testing.T) {
 					t.Fatalf("%s: sequential run disagrees with oracle: %d vs %d matches",
 						label, len(seq.Matches), len(want.Matches))
 				}
-				checkParallelEquivalence(t, label, p, seq)
-				checkPagedEquivalence(t, label, p, seq)
+				checkSoakMatrix(t, label, p, seq)
 			}
 		}
 	}
@@ -179,8 +151,7 @@ func TestParallelGeneratedSoak(t *testing.T) {
 					t.Fatalf("%s: sequential run disagrees with oracle: %d vs %d matches",
 						label, len(seq.Matches), len(want.Matches))
 				}
-				checkParallelEquivalence(t, label, p, seq)
-				checkPagedEquivalence(t, label, p, seq)
+				checkSoakMatrix(t, label, p, seq)
 			}
 		}
 	}

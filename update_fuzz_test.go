@@ -2,7 +2,6 @@ package viewjoin
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -83,8 +82,9 @@ func requireStoreEquality(t *testing.T, label string, maintained []*Materialized
 //   - the maintained stores to be byte-identical to views freshly
 //     materialized from the updated document (the §IV splice invariant),
 //   - every applicable engine to agree exactly with the brute-force
-//     oracle over the updated document, sequentially, range-partitioned
-//     (K ∈ {2, 4}), and through the bounded RunPage/RunStream arms.
+//     oracle over the updated document, across the RunOptions matrix
+//     (checkRunMatrix: K ∈ {1, 2, 4}, paged and cursor-resumed,
+//     materialized and streamed).
 //
 // Any divergence is a bug in the maintenance splice, the copy-on-write
 // overlay, or an engine's handling of a maintained store. The corpus under
@@ -155,17 +155,7 @@ func FuzzUpdateDifferential(f *testing.F) {
 				if !sameMatches(res, want) {
 					t.Fatalf("%s: %d matches, oracle %d", label, len(res.Matches), len(want.Matches))
 				}
-				for _, k := range []int{2, 4} {
-					pres, err := p.RunParallel(context.Background(), k)
-					if err != nil {
-						t.Fatalf("%s k=%d: %v", label, k, err)
-					}
-					if !identicalMatches(pres, res) {
-						t.Fatalf("%s k=%d: parallel diverged from sequential (%d vs %d matches)",
-							label, k, len(pres.Matches), len(res.Matches))
-					}
-				}
-				checkPages(t, label, p, res, pageLim, pageOff, []int{1, 2, 4})
+				checkRunMatrix(t, label, p, res, []int{1, 2, 4}, [][2]int{{pageLim, pageOff}})
 			}
 		}
 	})

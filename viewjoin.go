@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -302,14 +303,14 @@ func (d *Document) MaterializeViews(views []*Query, scheme StorageScheme) ([]*Ma
 	snap := d.snap()
 	out := make([]*MaterializedView, len(views))
 	errs := make([]error, len(views))
-	parallelFor(len(views), func(i int) {
+	parallelFor(runtime.GOMAXPROCS(0), len(views), func(i int) {
 		mv, err := d.materializeViewAt(snap, views[i], scheme, nil)
 		if err != nil {
 			errs[i] = fmt.Errorf("view %s: %w", views[i], err)
 			return
 		}
 		out[i] = mv
-	})
+	})()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -415,7 +416,8 @@ type EvalOptions struct {
 	// call returns a *CanceledError wrapping the context's error. No partial
 	// results are returned. nil keeps evaluation uninterruptible at zero
 	// hot-path cost. For a PreparedQuery shared across requests, prefer
-	// PreparedQuery.RunContext over capturing a per-request context here.
+	// passing a per-request context to PreparedQuery.RunWith over
+	// capturing one here.
 	Context context.Context
 	// DiskBased selects the disk-based output approach (§IV): intermediate
 	// solutions are spooled through scratch pages, trading I/O for memory.
@@ -437,8 +439,7 @@ type EvalOptions struct {
 	// boundaries and evaluated by a bounded worker group, with outputs
 	// merged in document order — identical to the sequential result. 0 and
 	// 1 evaluate sequentially; negative means GOMAXPROCS. See
-	// PreparedQuery.RunParallel for the partitioning rules and their
-	// effect on Stats.
+	// RunOptions.Parallel for the effect on Stats.
 	Parallelism int
 	// IOLatency, when positive, charges every simulated buffer-pool page
 	// miss as real wall time: the evaluating goroutine stalls for this
@@ -457,10 +458,9 @@ type EvalOptions struct {
 	// everything.
 	Limit int
 	// Offset skips the first Offset matches (applied before Limit, as in
-	// SQL LIMIT/OFFSET). Prefer cursor-based pagination
-	// (PreparedQuery.RunPage with StreamOptions.After) for deep paging:
-	// an offset still enumerates the skipped prefix, a cursor seeks past
-	// it.
+	// SQL LIMIT/OFFSET). Prefer cursor-based pagination (RunOptions.After)
+	// for deep paging: an offset still enumerates the skipped prefix, a
+	// cursor seeks past it.
 	Offset int
 }
 
@@ -532,10 +532,7 @@ func Evaluate(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opt
 	if err != nil {
 		return nil, err
 	}
-	if k := p.parallelism(); k > 1 {
-		return p.runParallel(p.opts.Context, k, p.limits(), start, true, p.opts.Tracer)
-	}
-	return p.run(p.opts.Context, p.limits(), nil, start, true, p.opts.Tracer)
+	return p.run(p.opts.Context, RunOptions{}, start, true)
 }
 
 // CanceledError reports an evaluation aborted by its context (cancellation
@@ -661,17 +658,7 @@ func interJoinPlan(q *tpq.Pattern, patterns []*tpq.Pattern, stores []*store.View
 // evaluator, useful for validating view-based plans.
 func EvaluateDirect(d *Document, q *Query) *Result {
 	t := d.tree()
-	ms := oracle.Eval(t, q.p)
-	res := &Result{Matches: make([][]Node, len(ms))}
-	for i, m := range ms {
-		row := make([]Node, len(m))
-		for j, id := range m {
-			n := t.Node(id)
-			row[j] = Node{Tag: t.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
-		}
-		res.Matches[i] = row
-	}
-	return res
+	return &Result{Matches: rows(t, oracle.Eval(t, q.p))}
 }
 
 // ValidateViewSet checks that the views form a valid covering set for q
