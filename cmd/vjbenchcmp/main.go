@@ -4,6 +4,12 @@
 // For viewjoin/bench/v1 it prints the per-experiment wall-time and
 // allocation deltas and exits non-zero when any experiment present in both
 // runs regressed by more than the threshold (default 10%) on either axis.
+// It also gates the paper's deterministic cost counters exactly, row by
+// row (rows keyed by experiment, dataset, query, combo, variant and
+// series): any change in matches fails, and so does any change in
+// scanned, comparisons, derefs or pagesRead — except on partitioned runs
+// under a first-k quota (variant "K=<n>" with n > 1, series "k=<m>"),
+// where the point a partition stops scanning depends on scheduling.
 //
 // For viewjoin/load/v1 it diffs the serving latency quantiles
 // (p50/p95/p99), the time-to-first-match quantiles, and the achieved QPS:
@@ -30,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 )
 
@@ -46,6 +53,70 @@ type benchManifest struct {
 		WallNanos int64  `json:"wallNanos"`
 		Allocs    uint64 `json:"allocs"`
 	} `json:"experiments"`
+	Rows []benchRow `json:"rows"`
+}
+
+// benchRow is the part of a bench/v1 row the counter gate reads: its key
+// and the deterministic counters (absent counters decode as zero).
+type benchRow struct {
+	Experiment  string `json:"experiment"`
+	Dataset     string `json:"dataset"`
+	Query       string `json:"query"`
+	Combo       string `json:"combo"`
+	Variant     string `json:"variant"`
+	Series      string `json:"series"`
+	Matches     int64  `json:"matches"`
+	Scanned     int64  `json:"scanned"`
+	Comparisons int64  `json:"comparisons"`
+	Derefs      int64  `json:"derefs"`
+	PagesRead   int64  `json:"pagesRead"`
+}
+
+func (r benchRow) key() string {
+	return strings.Join([]string{r.Experiment, r.Dataset, r.Query, r.Combo, r.Variant, r.Series}, "|")
+}
+
+// scheduled reports whether the row is a partitioned run under a first-k
+// quota: its partitions stop scanning once the quota is met, at a point
+// that depends on how the workers were scheduled, so only its match count
+// is deterministic.
+func (r benchRow) scheduled() bool {
+	var parts, k int
+	if _, err := fmt.Sscanf(r.Variant, "K=%d", &parts); err != nil || parts <= 1 {
+		return false
+	}
+	_, err := fmt.Sscanf(r.Series, "k=%d", &k)
+	return err == nil
+}
+
+// counterChanges compares the deterministic counters of the rows present
+// in both manifests and describes every change the gate refuses.
+func counterChanges(old, neu []benchRow) []string {
+	oldBy := make(map[string]benchRow, len(old))
+	for _, r := range old {
+		oldBy[r.key()] = r
+	}
+	var out []string
+	for _, n := range neu {
+		o, ok := oldBy[n.key()]
+		if !ok {
+			continue
+		}
+		check := func(name string, ov, nv int64) {
+			if ov != nv {
+				out = append(out, fmt.Sprintf("%s: %s %d -> %d", n.key(), name, ov, nv))
+			}
+		}
+		check("matches", o.Matches, n.Matches)
+		if n.scheduled() {
+			continue
+		}
+		check("scanned", o.Scanned, n.Scanned)
+		check("comparisons", o.Comparisons, n.Comparisons)
+		check("derefs", o.Derefs, n.Derefs)
+		check("pagesRead", o.PagesRead, n.PagesRead)
+	}
+	return out
 }
 
 type loadManifest struct {
@@ -128,7 +199,7 @@ func main() {
 	}
 
 	if regressions > 0 {
-		fmt.Printf("\n%d regression(s) of more than %.0f%%\n", regressions, *threshold*100)
+		fmt.Printf("\n%d regression(s): wall time or allocs past %.0f%%, or a deterministic counter changed\n", regressions, *threshold*100)
 		os.Exit(1)
 	}
 	fmt.Println("\nno regressions")
@@ -200,7 +271,12 @@ func compareBench(oldBuf, newBuf []byte, threshold float64) int {
 			fmt.Printf("%-12s %12s %12s %9s\n", e.Name, fmtNanos(e.WallNanos), "-", "removed")
 		}
 	}
-	return regressions
+	changes := counterChanges(old.Rows, neu.Rows)
+	fmt.Printf("\ncounters: %d rows old, %d rows new, %d changed\n", len(old.Rows), len(neu.Rows), len(changes))
+	for _, c := range changes {
+		fmt.Printf("  COUNTER %s\n", c)
+	}
+	return regressions + len(changes)
 }
 
 // compareLoad diffs two load/v1 manifests: latency quantiles regress

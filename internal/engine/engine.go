@@ -10,6 +10,7 @@ import (
 	"viewjoin/internal/match"
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
+	"viewjoin/internal/tpq"
 	"viewjoin/internal/vsq"
 )
 
@@ -53,14 +54,17 @@ type Options struct {
 	// node 0, Body for the rest). Partitioned evaluation runs one
 	// restricted job per document chunk; nil keeps the whole document.
 	Restrict *Restriction
+	// Out receives the run's matches, rendered as rows in document order
+	// (see Render). It is required unless Emit is set.
+	Out *match.Rows
 	// Emit, when non-nil, streams each match to the sink as it is produced
-	// instead of accumulating it into the returned set; returning false
-	// stops the run early (ErrStop). The match slice is enumeration scratch
-	// reused for the next match — sinks must copy what they keep. Only the
-	// window-collector engines (ViewJoin, TwigStack) deliver incrementally
-	// and in document order; PathStack and InterJoin sort before output, so
-	// their callers replay the finished result instead.
-	Emit func(match.Match) bool
+	// instead of appending it to Out; returning false stops the run early
+	// (ErrStop). The row is enumeration scratch reused for the next match —
+	// sinks must copy what they keep. Only the window-collector engines
+	// (ViewJoin, TwigStack) deliver incrementally and in document order;
+	// PathStack and InterJoin sort before output, so their callers replay
+	// the finished result instead.
+	Emit func(row []match.Node) bool
 	// First, when > 0, bounds the number of matches produced (quota =
 	// offset + limit, counted after the After filter): once reached, the
 	// enumeration stage stops the run via ErrStop and the engine returns
@@ -160,4 +164,29 @@ func BindLists(v *vsq.VSQ, stores []*store.ViewStore) ([]*store.ListFile, error)
 		files[qi] = s.Lists[ni]
 	}
 	return files, nil
+}
+
+// Render writes one match into row: cell k binds query node k to the
+// region label labels[k]. Patterns match by element type, so the tag is the
+// query node's label and no document lookup is needed.
+func Render(row []match.Node, q *tpq.Pattern, labels []store.Label) {
+	for k := range row {
+		l := labels[k]
+		row[k] = match.Node{Tag: q.Nodes[k].Label, Start: l.Start, End: l.End, Level: l.Level}
+	}
+}
+
+// CompareStarts orders two label tuples lexicographically by start label,
+// position by position — document order, the order of result rows. It
+// returns -1, 0 or +1.
+func CompareStarts(a, b []store.Label) int {
+	for k := range a {
+		if a[k].Start != b[k].Start {
+			if a[k].Start < b[k].Start {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }

@@ -7,6 +7,7 @@ import (
 	"viewjoin/internal/counters"
 	"viewjoin/internal/match"
 	"viewjoin/internal/oracle"
+	"viewjoin/internal/testutil"
 	"viewjoin/internal/tpq"
 	"viewjoin/internal/xmltree"
 )
@@ -31,10 +32,10 @@ func TestPartialFlushDupCheck(t *testing.T) {
 	want := oracle.Eval(d, q)
 
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 64)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 64)
 	var got match.Set
-	c.SetStream(func(m match.Match) bool {
-		got = append(got, match.Clone(m))
+	c.SetOutput(nil, func(row []match.Node) bool {
+		got = append(got, testutil.MatchOf(d, row))
 		return true
 	}, 0, nil)
 
@@ -59,7 +60,7 @@ func TestPartialFlushDupCheck(t *testing.T) {
 			c.Advance(cands[i+1].l.Start)
 		}
 	}
-	c.Result()
+	result(d, c)
 
 	t.Logf("streamed %d matches, oracle %d", len(got), len(want))
 	seen := map[string]int{}

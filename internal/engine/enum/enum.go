@@ -20,14 +20,14 @@ import (
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
-	"viewjoin/internal/xmltree"
 )
 
 // Label re-exports the region label triple used across engines.
 type Label = store.Label
 
 // Collector accumulates per-query-node candidates in document order and
-// flushes completed windows into matches.
+// flushes completed windows into matches, rendered straight from the
+// candidates' region labels into the run's row buffer (or its sink).
 //
 // In the memory-based approach (§IV "Variations") the window lives in
 // memory until flushed; PeakEntries tracks the largest window, the F_max of
@@ -35,11 +35,10 @@ type Label = store.Label
 // spooled to scratch pages when collected and read back at flush time,
 // charging page writes and reads; resident memory then stays O(|Q|·depth).
 type Collector struct {
-	d   *xmltree.Document
 	q   *tpq.Pattern
 	io  *counters.IO
-	tr  obs.Tracer // nil when tracing is off
-	out match.Set
+	tr  obs.Tracer  // nil when tracing is off
+	out *match.Rows // receives the matches unless emit is set
 
 	cands       [][]Label // per query node, current window, doc order
 	windowStart int32
@@ -69,13 +68,13 @@ type Collector struct {
 	// no-ops and the partial output is abandoned by the engine.
 	ic *engine.Interrupter
 
-	// Streaming state (SetStream): emit delivers matches to a sink as
-	// windows close instead of accumulating them; first bounds the total
+	// Output state (SetOutput): emit delivers matches to a sink as windows
+	// close instead of appending them to out; first bounds the total
 	// matches produced; after is the resumption cursor (emit only matches
 	// strictly greater than this start tuple, document order); emitted
 	// counts deliveries; stopped latches once the quota is met or the sink
 	// declines, turning every later Add/Flush into a no-op.
-	emit    func(match.Match) bool
+	emit    func(row []match.Node) bool
 	first   int
 	after   []int32
 	emitted int
@@ -105,7 +104,7 @@ type Collector struct {
 	okLevels  [][]levelGroup // pc-children only: surviving starts per level
 	needLevel []bool         // query node is a pc-child: level grouping required
 	cur       []Label
-	m         match.Match
+	row       []match.Node // emit scratch
 }
 
 // levelGroup holds the surviving candidate starts at one level. Windows
@@ -130,17 +129,16 @@ const LabelBytes = 16
 // the previous attempt, so filter work stays amortized against growth.
 const partialTrigger = 64
 
-// NewCollector returns a Collector for query q over document d, accounting
-// into io and tracing into tr (nil disables tracing). When diskBased is
-// set, windows are spooled through scratch pages of the given pageSize (0
-// means store.DefaultPageSize).
-func NewCollector(d *xmltree.Document, q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool, pageSize int) *Collector {
+// NewCollector returns a Collector for query q, accounting into io and
+// tracing into tr (nil disables tracing). When diskBased is set, windows
+// are spooled through scratch pages of the given pageSize (0 means
+// store.DefaultPageSize). SetOutput names where the matches go.
+func NewCollector(q *tpq.Pattern, io *counters.IO, tr obs.Tracer, diskBased bool, pageSize int) *Collector {
 	if pageSize == 0 {
 		pageSize = store.DefaultPageSize
 	}
 	n := q.Size()
 	c := &Collector{
-		d:         d,
 		q:         q,
 		io:        io,
 		tr:        tr,
@@ -152,7 +150,7 @@ func NewCollector(d *xmltree.Document, q *tpq.Pattern, io *counters.IO, tr obs.T
 		okLevels:  make([][]levelGroup, n),
 		needLevel: make([]bool, n),
 		cur:       make([]Label, n),
-		m:         make(match.Match, n),
+		row:       make([]match.Node, n),
 	}
 	for qi := 1; qi < n; qi++ {
 		if q.Nodes[qi].Axis == tpq.Child {
@@ -173,19 +171,18 @@ func NewCollector(d *xmltree.Document, q *tpq.Pattern, io *counters.IO, tr obs.T
 	return c
 }
 
-// Reset readies the collector for a fresh run over the same document and
-// query: the accounting, tracer and output options are rebound, collected
-// state is cleared, and every scratch slice keeps its capacity. The
-// previously returned match.Set is not touched (Result hands ownership to
-// the caller). PreFlush is preserved.
+// Reset readies the collector for a fresh run over the same query: the
+// accounting and tracer are rebound, the output options are cleared
+// (SetOutput sets them), collected state is cleared, and every scratch
+// slice keeps its capacity. The previous run's row buffer is not touched
+// (it belongs to the caller). PreFlush is preserved.
 func (c *Collector) Reset(io *counters.IO, tr obs.Tracer, diskBased bool, pageSize int) {
 	if pageSize == 0 {
 		pageSize = store.DefaultPageSize
 	}
 	c.io, c.tr, c.diskBased, c.pageSize = io, tr, diskBased, pageSize
 	c.ic = nil
-	c.out = nil
-	c.emit, c.first, c.after = nil, 0, nil
+	c.out, c.emit, c.first, c.after = nil, nil, 0, nil
 	c.emitted, c.stopped = 0, false
 	for qi := range c.cands {
 		c.cands[qi] = c.cands[qi][:0]
@@ -276,15 +273,16 @@ func (c *Collector) SetInterrupt(ic *engine.Interrupter) {
 	c.ic = ic
 }
 
-// SetStream configures streaming delivery and early termination for the
-// run (all cleared by Reset): emit, when non-nil, receives every match as
-// it is produced — the slice is scratch reused for the next match, so
-// sinks copy what they keep; returning false stops the run. first > 0
-// bounds the matches produced (counted after the cursor filter). after,
-// when non-nil, must hold one start label per query node: only matches
-// strictly greater than it in document order are delivered.
-func (c *Collector) SetStream(emit func(match.Match) bool, first int, after []int32) {
-	c.emit, c.first, c.after = emit, first, after
+// SetOutput configures output delivery and early termination for the run
+// (all cleared by Reset): every match is rendered as a row appended to out,
+// or, when emit is non-nil, handed to emit instead — the row is scratch
+// reused for the next match, so sinks copy what they keep; returning false
+// stops the run. first > 0 bounds the matches produced (counted after the
+// cursor filter). after, when non-nil, must hold one start label per query
+// node: only matches strictly greater than it in document order are
+// delivered.
+func (c *Collector) SetOutput(out *match.Rows, emit func(row []match.Node) bool, first int, after []int32) {
+	c.out, c.emit, c.first, c.after = out, emit, first, after
 }
 
 // Emitted returns the number of matches delivered so far (streamed or
@@ -493,14 +491,12 @@ func (c *Collector) discardWindow() {
 	c.open = false
 }
 
-// Result flushes any open window and returns the collected matches (empty
-// in streaming mode — the sink received them). The Matches counter is the
+// Finish flushes any open window and stamps the Matches counter: the
 // number of matches delivered, which for a bounded run is the bounded
 // count, not the query's full cardinality.
-func (c *Collector) Result() match.Set {
+func (c *Collector) Finish() {
 	c.Flush()
 	c.io.C.Matches = int64(c.emitted)
-	return c.out
 }
 
 // PeakEntries returns the size (in entries) of the largest window held in
@@ -606,7 +602,7 @@ func (c *Collector) enumerate() {
 	// Order invariant: windows close in ascending root-start order, the
 	// root loop walks cands[0] ascending, and rec extends the tuple in
 	// pattern pre-order over start-sorted lists — so matches are produced
-	// exactly in match.Less (document) order, which is what makes streamed
+	// exactly in document order, which is what makes streamed
 	// LIMIT/OFFSET and the cursor filter exact without any buffering.
 	var rec func(qi int) bool
 	rec = func(qi int) bool {
@@ -620,17 +616,15 @@ func (c *Collector) enumerate() {
 			if c.after != nil && !c.tupleAfterCursor() {
 				return true // at or before the resumption cursor: skip
 			}
-			for k := range c.cur {
-				c.m[k] = c.d.FindByStart(c.cur[k].Start)
-			}
 			c.io.MarkFirstMatch()
 			if c.emit != nil {
-				if !c.emit(c.m) {
+				engine.Render(c.row, c.q, c.cur)
+				if !c.emit(c.row) {
 					c.stop()
 					return false
 				}
 			} else {
-				c.out = append(c.out, match.Clone(c.m))
+				engine.Render(c.out.Next(), c.q, c.cur)
 			}
 			c.emitted++
 			if c.first > 0 && c.emitted >= c.first {

@@ -8,6 +8,7 @@ import (
 	"viewjoin/internal/engine"
 	"viewjoin/internal/match"
 	"viewjoin/internal/oracle"
+	"viewjoin/internal/testutil"
 	"viewjoin/internal/tpq"
 	"viewjoin/internal/xmltree"
 )
@@ -42,9 +43,9 @@ func run(t *testing.T, src, query string, diskBased bool) (match.Set, counters.C
 	d := doc(t, src)
 	q := tpq.MustParse(query)
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, diskBased, 64)
+	c := newCollector(q, counters.NewIO(&cnt, 0), diskBased, 64)
 	feed(d, q, c)
-	return c.Result(), cnt
+	return result(d, c), cnt
 }
 
 func TestEnumerationMatchesOracle(t *testing.T) {
@@ -82,7 +83,7 @@ func TestPendingBuffer(t *testing.T) {
 	d := doc(t, `<r><a><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 64)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 64)
 
 	nodes := d.Nodes()
 	var as, bs []Label
@@ -100,7 +101,7 @@ func TestPendingBuffer(t *testing.T) {
 	c.Add(1, bs[0])
 	c.Add(1, bs[1]) // ahead of window 1: must be buffered, not dropped
 	c.Add(0, as[1])
-	got := c.Result()
+	got := result(d, c)
 	if len(got) != 2 {
 		t.Fatalf("matches = %d, want 2 (pending candidate lost?)", len(got))
 	}
@@ -110,7 +111,7 @@ func TestPendingDropsUncoverable(t *testing.T) {
 	d := doc(t, `<r><b/><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 64)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 64)
 	nodes := d.Nodes()
 	// First b precedes every a: buffered then dropped at window open.
 	for i := range nodes {
@@ -122,7 +123,7 @@ func TestPendingDropsUncoverable(t *testing.T) {
 			c.Add(0, l)
 		}
 	}
-	got := c.Result()
+	got := result(d, c)
 	if len(got) != 1 {
 		t.Fatalf("matches = %d, want 1", len(got))
 	}
@@ -149,9 +150,9 @@ func TestPeakEntries(t *testing.T) {
 	d := doc(t, `<r><a><b/><b/><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 0)
 	feed(d, q, c)
-	c.Result()
+	result(d, c)
 	// Largest window: first a + its three b's = 4 entries.
 	if c.PeakEntries() != 4 {
 		t.Fatalf("PeakEntries = %d, want 4", c.PeakEntries())
@@ -165,11 +166,11 @@ func TestPreFlushHook(t *testing.T) {
 	d := doc(t, `<r><a><b/></a><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 0)
 	var regions [][2]int32
 	c.PreFlush = func(lo, hi int32) { regions = append(regions, [2]int32{lo, hi}) }
 	feed(d, q, c)
-	c.Result()
+	result(d, c)
 	if len(regions) != 2 {
 		t.Fatalf("PreFlush ran %d times, want 2 (one per window)", len(regions))
 	}
@@ -184,10 +185,10 @@ func TestDuplicateAddsCollapsed(t *testing.T) {
 	d := doc(t, `<r><a><b/></a></r>`)
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 0)
 	feed(d, q, c)
 	feed(d, q, c) // offer everything twice
-	got := c.Result()
+	got := result(d, c)
 	if len(got) != 1 {
 		t.Fatalf("matches = %d, want 1 (duplicates must collapse)", len(got))
 	}
@@ -228,15 +229,15 @@ func candidates(d *xmltree.Document, q *tpq.Pattern) (qis []int, labels []Label)
 func streamCollector(t *testing.T, d *xmltree.Document, q *tpq.Pattern, first int, after []int32, accept func(int) bool) (*Collector, *engine.Interrupter, *match.Set) {
 	t.Helper()
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 0)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
 	got := &match.Set{}
-	c.SetStream(func(m match.Match) bool {
+	c.SetOutput(nil, func(row []match.Node) bool {
 		if accept != nil && !accept(len(*got)) {
 			return false
 		}
-		*got = append(*got, match.Clone(m))
+		*got = append(*got, testutil.MatchOf(d, row))
 		return true
 	}, first, after)
 	return c, &ic, got
@@ -270,9 +271,9 @@ func TestStreamingPartialFlushOrder(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var fcnt counters.Counters
-	fullC := NewCollector(d, q, counters.NewIO(&fcnt, 0), nil, false, 0)
+	fullC := newCollector(q, counters.NewIO(&fcnt, 0), false, 0)
 	feed(d, q, fullC)
-	want := fullC.Result()
+	want := result(d, fullC)
 	if len(want) != 50 {
 		t.Fatalf("setup: full run found %d matches, want 50", len(want))
 	}
@@ -280,7 +281,7 @@ func TestStreamingPartialFlushOrder(t *testing.T) {
 	c, ic, got := streamCollector(t, d, q, 0, nil, nil)
 	qis, labels := candidates(d, q)
 	midRun := feedStream(c, ic, qis, labels)
-	c.Result()
+	result(d, c)
 
 	if midRun == 0 {
 		t.Fatal("no matches emitted before the window closed: partial flush never fired")
@@ -323,7 +324,7 @@ func TestStreamingQuotaStops(t *testing.T) {
 		c.Advance(frontier)
 		fed++
 	}
-	c.Result()
+	result(d, c)
 	if c.Emitted() != 5 || len(*got) != 5 {
 		t.Fatalf("emitted %d (sink saw %d), want exactly the quota of 5", c.Emitted(), len(*got))
 	}
@@ -343,7 +344,7 @@ func TestStreamingSinkDeclineStops(t *testing.T) {
 	c, ic, got := streamCollector(t, d, q, 0, nil, func(n int) bool { return n < 3 })
 	qis, labels := candidates(d, q)
 	feedStream(c, ic, qis, labels)
-	c.Result()
+	result(d, c)
 	if len(*got) != 3 {
 		t.Fatalf("sink accepted %d matches, want 3", len(*got))
 	}
@@ -363,13 +364,13 @@ func TestAccumulateFirstK(t *testing.T) {
 	want, _ := run(t, src, "//site//a//b", false)
 
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 0)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
-	c.SetStream(nil, 4, nil)
+	c.SetOutput(c.out, nil, 4, nil)
 	qis, labels := candidates(d, q)
 	feedStream(c, &ic, qis, labels)
-	got := c.Result()
+	got := result(d, c)
 	if len(got) != 4 {
 		t.Fatalf("accumulated %d matches, want 4", len(got))
 	}
@@ -392,10 +393,10 @@ func TestAfterCursorSkipsWholeWindow(t *testing.T) {
 		}
 	}
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
-	c.SetStream(nil, 0, []int32{a2, 0})
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 0)
+	c.SetOutput(c.out, nil, 0, []int32{a2, 0})
 	feed(d, q, c)
-	got := c.Result()
+	got := result(d, c)
 	if len(got) != 1 {
 		t.Fatalf("matches = %d, want 1 (the second window's)", len(got))
 	}
@@ -424,10 +425,10 @@ func TestAfterCursorResumesMidWindow(t *testing.T) {
 		{[]int32{aStart, bStarts[1]}, 0},
 	} {
 		var cnt counters.Counters
-		c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
-		c.SetStream(nil, 0, tc.after)
+		c := newCollector(q, counters.NewIO(&cnt, 0), false, 0)
+		c.SetOutput(c.out, nil, 0, tc.after)
 		feed(d, q, c)
-		if got := c.Result(); len(got) != tc.want {
+		if got := result(d, c); len(got) != tc.want {
 			t.Fatalf("after=%v: matches = %d, want %d", tc.after, len(got), tc.want)
 		}
 	}
@@ -438,21 +439,25 @@ func TestResetReusesCollector(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
-	c.SetStream(nil, 3, nil)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 0)
+	c.SetOutput(c.out, nil, 3, nil)
 	feed(d, q, c)
-	if got := c.Result(); len(got) != 3 {
+	if got := result(d, c); len(got) != 3 {
 		t.Fatalf("first run: %d matches, want 3", len(got))
 	}
-	// Reset must clear the stream bound, the emitted count, and the window
-	// state: the second run is a plain full accumulation.
+	// Reset must clear the output options, the emitted count, and the
+	// window state: the second run, given a fresh buffer and no bound, is a
+	// plain full accumulation.
 	var cnt2 counters.Counters
 	c.Reset(counters.NewIO(&cnt2, 0), nil, false, 0)
-	if c.Emitted() != 0 {
-		t.Fatalf("Emitted() = %d after Reset, want 0", c.Emitted())
+	if c.Emitted() != 0 || c.out != nil || c.first != 0 {
+		t.Fatalf("after Reset: Emitted() = %d, out %v, first %d; want 0, nil, 0", c.Emitted(), c.out, c.first)
 	}
+	var rows match.Rows
+	rows.Init(q.Size(), 0)
+	c.SetOutput(&rows, nil, 0, nil)
 	feed(d, q, c)
-	if got := c.Result(); len(got) != 10 {
+	if got := result(d, c); len(got) != 10 {
 		t.Fatalf("after Reset: %d matches, want 10 (quota must not persist)", len(got))
 	}
 }
@@ -462,20 +467,20 @@ func TestAdvanceNoopPaths(t *testing.T) {
 	// Accumulating run (no emit, no quota): Advance must do nothing.
 	q := tpq.MustParse("//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 0)
 	feed(d, q, c)
 	c.Advance(1 << 30)
-	if got := c.Result(); len(got) != 1 {
+	if got := result(d, c); len(got) != 1 {
 		t.Fatalf("matches = %d, want 1", len(got))
 	}
 	// Single-node query: the spine is empty, so partial flushing is off
 	// even under a quota.
 	q1 := tpq.MustParse("//a")
-	c1 := NewCollector(d, q1, counters.NewIO(&cnt, 0), nil, false, 0)
-	c1.SetStream(nil, 1, nil)
+	c1 := newCollector(q1, counters.NewIO(&cnt, 0), false, 0)
+	c1.SetOutput(c1.out, nil, 1, nil)
 	feed(d, q1, c1)
 	c1.Advance(1 << 30)
-	if got := c1.Result(); len(got) != 1 {
+	if got := result(d, c1); len(got) != 1 {
 		t.Fatalf("single-node matches = %d, want 1", len(got))
 	}
 }
@@ -497,7 +502,7 @@ func TestPartialFlushNestedRootWaits(t *testing.T) {
 	c, ic, got := streamCollector(t, d, q, 0, nil, nil)
 	qis, labels := candidates(d, q)
 	midRun := feedStream(c, ic, qis, labels)
-	c.Result()
+	result(d, c)
 	if midRun != 0 {
 		t.Fatalf("emitted %d matches before the window closed despite a nested root", midRun)
 	}
@@ -516,7 +521,7 @@ func TestPartialFlushRespectsCursor(t *testing.T) {
 	// at the final flush.
 	c, ic, got := streamCollector(t, d, q, 0, []int32{1 << 30, 0, 0}, nil)
 	feedStream(c, ic, qis, labels)
-	c.Result()
+	result(d, c)
 	if len(*got) != 0 {
 		t.Fatalf("cursor past EOF: emitted %d matches, want 0", len(*got))
 	}
@@ -525,7 +530,7 @@ func TestPartialFlushRespectsCursor(t *testing.T) {
 	// and the final enumeration's cursor filter drops every tuple.
 	c2, ic2, got2 := streamCollector(t, d, q, 0, []int32{labels[0].Start + 1, 0, 0}, nil)
 	feedStream(c2, ic2, qis, labels)
-	c2.Result()
+	result(d, c2)
 	if len(*got2) != 0 {
 		t.Fatalf("cursor past root start: emitted %d matches, want 0", len(*got2))
 	}
@@ -536,14 +541,14 @@ func TestPartialFlushDiskSpool(t *testing.T) {
 	d := doc(t, src)
 	q := tpq.MustParse("//site//a//b")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, true, 16)
+	c := newCollector(q, counters.NewIO(&cnt, 0), true, 16)
 	ic := engine.NewInterrupter(nil)
 	c.SetInterrupt(&ic)
 	var got match.Set
-	c.SetStream(func(m match.Match) bool { got = append(got, match.Clone(m)); return true }, 0, nil)
+	c.SetOutput(nil, func(row []match.Node) bool { got = append(got, testutil.MatchOf(d, row)); return true }, 0, nil)
 	qis, labels := candidates(d, q)
 	feedStream(c, &ic, qis, labels)
-	c.Result()
+	result(d, c)
 	if len(got) != 60 {
 		t.Fatalf("streamed %d matches, want 60", len(got))
 	}
@@ -561,7 +566,7 @@ func TestPartialFlushPreFlushExtension(t *testing.T) {
 	c.PreFlush = func(lo, hi int32) { regions = append(regions, [2]int32{lo, hi}) }
 	qis, labels := candidates(d, q)
 	feedStream(c, ic, qis, labels)
-	c.Result()
+	result(d, c)
 	if len(*got) != 50 {
 		t.Fatalf("streamed %d matches, want 50", len(*got))
 	}
@@ -610,12 +615,12 @@ func TestUnsortedAddsNormalized(t *testing.T) {
 		}
 	}
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 0)
 	c.Add(0, as[0])
 	c.Add(1, bs[1]) // out of order
 	c.Add(1, bs[0])
 	c.Add(1, bs[1]) // duplicate
-	if got := c.Result(); len(got) != 2 {
+	if got := result(d, c); len(got) != 2 {
 		t.Fatalf("matches = %d, want 2", len(got))
 	}
 }
@@ -640,9 +645,28 @@ func TestFlushWithoutWindowIsNoop(t *testing.T) {
 	d := doc(t, `<r/>`)
 	q := tpq.MustParse("//a")
 	var cnt counters.Counters
-	c := NewCollector(d, q, counters.NewIO(&cnt, 0), nil, false, 0)
+	c := newCollector(q, counters.NewIO(&cnt, 0), false, 0)
 	c.Flush()
-	if got := c.Result(); len(got) != 0 {
+	if got := result(d, c); len(got) != 0 {
 		t.Fatalf("expected no matches")
 	}
+}
+
+// newCollector returns a collector rendering into its own row buffer.
+func newCollector(q *tpq.Pattern, io *counters.IO, diskBased bool, pageSize int) *Collector {
+	c := NewCollector(q, io, nil, diskBased, pageSize)
+	rows := &match.Rows{}
+	rows.Init(q.Size(), 0)
+	c.SetOutput(rows, nil, 0, nil)
+	return c
+}
+
+// result finishes the run and converts the rendered rows into a match set
+// over d (empty for a run that streamed to a sink).
+func result(d *xmltree.Document, c *Collector) match.Set {
+	c.Finish()
+	if c.out == nil {
+		return nil
+	}
+	return testutil.MatchSet(d, c.out)
 }

@@ -14,16 +14,15 @@ package interjoin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"viewjoin/internal/counters"
 	"viewjoin/internal/engine"
-	"viewjoin/internal/match"
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
-	"viewjoin/internal/xmltree"
 )
 
 // partial is an intermediate tuple: bindings for a subset of the query's
@@ -67,7 +66,6 @@ func (a *labelArena) row() []store.Label {
 // so a Prepared is safe for concurrent Run calls; repeated runs amortize
 // the tuple scans that dominate InterJoin's per-call setup.
 type Prepared struct {
-	d       *xmltree.Document
 	q       *tpq.Pattern
 	order   []int
 	streams []*stream
@@ -78,14 +76,17 @@ type Prepared struct {
 // reset in place between runs.
 type scratch struct {
 	upIdx, loIdx, active []int
-	ic                   engine.Interrupter
+	// keep indexes the joined tuples that pass final verification; they
+	// are sorted into document order and rendered once.
+	keep []int32
+	ic   engine.Interrupter
 }
 
 // Prepare validates the view set and materializes each view's tuple file
 // as a stream. viewPos[i] lists, for view i, the query position of each of
 // its nodes (in view node order). Views must be path views and q a path
 // query. The scans charge io — prepare-time cost, paid once per plan.
-func Prepare(d *xmltree.Document, q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
+func Prepare(q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
 	io *counters.IO, tr obs.Tracer) (*Prepared, error) {
 	if !q.IsPath() {
 		return nil, fmt.Errorf("interjoin: %s is not a path query", q)
@@ -135,7 +136,7 @@ func Prepare(d *xmltree.Document, q *tpq.Pattern, stores []*store.ViewStore, vie
 			st.tuples = append(st.tuples, p)
 		}
 	}
-	return &Prepared{d: d, q: q, order: order, streams: streams}, nil
+	return &Prepared{q: q, order: order, streams: streams}, nil
 }
 
 // Footprint estimates the plan-resident bytes of the materialized view
@@ -155,10 +156,10 @@ func (p *Prepared) Footprint() int64 {
 	return f
 }
 
-// Run executes the prepared join sequence once. Per-run costs are the
-// binary joins and the final verification; the view scans were charged at
-// Prepare time.
-func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, error) {
+// Run executes the prepared join sequence once and renders the matches
+// into opts.Out in document order. Per-run costs are the binary joins and
+// the final verification; the view scans were charged at Prepare time.
+func (p *Prepared) Run(io *counters.IO, opts engine.Options) error {
 	sc, _ := p.pool.Get().(*scratch)
 	if sc == nil {
 		sc = &scratch{}
@@ -175,22 +176,26 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, error) 
 		// to verification: the joined prefix yields the bounded answer.
 		if err := sc.ic.Err(); err != nil && err != engine.ErrStop {
 			p.pool.Put(sc)
-			return nil, err
+			return err
 		}
 		acc = binaryJoin(q, acc, streams[oi], io, sc)
+	}
+	tuple := func(i int32) []store.Label { return acc.tuples[i].labels }
+	sortKeep := func() {
+		slices.SortFunc(sc.keep, func(a, b int32) int { return engine.CompareStarts(tuple(a), tuple(b)) })
 	}
 
 	// Final verification: pc-edges and the root axis. Ad-edges between
 	// adjacent positions were verified during the joins (cross-view) or are
 	// implied by the view matches (intra-view).
-	var out match.Set
+	sc.keep = sc.keep[:0]
 	for i := range acc.tuples {
 		if err := sc.ic.Check(); err != nil {
 			if err == engine.ErrStop {
 				break
 			}
 			p.pool.Put(sc)
-			return nil, err
+			return err
 		}
 		t := &acc.tuples[i]
 		ok := true
@@ -211,40 +216,40 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, error) 
 		if opts.After != nil && !afterCursor(t.labels, opts.After) {
 			continue
 		}
-		m := make(match.Match, n)
-		for pos := 0; pos < n; pos++ {
-			m[pos] = p.d.FindByStart(t.labels[pos].Start)
-		}
-		out = append(out, m)
+		sc.keep = append(sc.keep, int32(i))
 		// Bounded accumulation under a first-k quota: InterJoin's tuples are
 		// ordered by the first position only, so the scan cannot stop early;
 		// keep only the first smallest matches seen so far instead, bounding
-		// peak result memory to O(first). The slack (4x + 64) amortizes the
-		// sorts.
-		if opts.First > 0 && len(out) >= 4*opts.First+64 {
-			out.Sort()
-			out = out[:opts.First]
+		// the kept set to O(first). The slack (4x + 64) amortizes the sorts.
+		if opts.First > 0 && len(sc.keep) >= 4*opts.First+64 {
+			sortKeep()
+			sc.keep = sc.keep[:opts.First]
 		}
 	}
 	if err := sc.ic.Err(); err != nil && err != engine.ErrStop {
 		p.pool.Put(sc)
-		return nil, err
+		return err
 	}
-	p.pool.Put(sc)
 	// Join construction orders tuples by the accumulated stream's first
 	// position only; canonicalize to full lexicographic document order so
 	// sequential and partitioned runs are byte-comparable.
-	out.Sort()
-	if opts.First > 0 && len(out) > opts.First {
-		out = out[:opts.First]
+	sortKeep()
+	if opts.First > 0 && len(sc.keep) > opts.First {
+		sc.keep = sc.keep[:opts.First]
 	}
-	io.C.Matches = int64(len(out))
-	if len(out) > 0 {
+	k := len(sc.keep)
+	opts.Out.Reserve(k)
+	for _, i := range sc.keep {
+		engine.Render(opts.Out.Next(), q, tuple(i))
+	}
+	p.pool.Put(sc)
+	io.C.Matches = int64(k)
+	if k > 0 {
 		// InterJoin cannot stream: time-to-first-match is the full
 		// join+sort, stamped here so the metric reflects that honestly.
 		io.MarkFirstMatch()
 	}
-	return out, nil
+	return nil
 }
 
 // afterCursor reports whether the start-label tuple in labels is strictly
@@ -332,13 +337,14 @@ func (p *Prepared) WeightIn(lo, hi int32) int64 {
 }
 
 // Eval evaluates the path query q over the tuple stores of the covering
-// path views (one-shot Prepare + Run; the scans and joins charge the same
-// io, so counters match the historical single-call behaviour).
-func Eval(d *xmltree.Document, q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
-	io *counters.IO, opts engine.Options) (match.Set, error) {
-	p, err := Prepare(d, q, stores, viewPos, io, opts.Tracer)
+// path views, writing every match to opts.Out (one-shot Prepare + Run; the
+// scans and joins charge the same io, so counters match the historical
+// single-call behaviour).
+func Eval(q *tpq.Pattern, stores []*store.ViewStore, viewPos [][]int,
+	io *counters.IO, opts engine.Options) error {
+	p, err := Prepare(q, stores, viewPos, io, opts.Tracer)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	return p.Run(io, opts)
 }

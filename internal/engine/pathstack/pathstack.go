@@ -13,15 +13,14 @@ package pathstack
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"viewjoin/internal/counters"
 	"viewjoin/internal/engine"
-	"viewjoin/internal/match"
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
-	"viewjoin/internal/xmltree"
 )
 
 // frame is one stack element: a region label plus the index of the top of
@@ -37,7 +36,6 @@ type frame struct {
 // linked stacks, the expansion buffer). Immutable after construction and
 // safe for concurrent Run calls.
 type Prepared struct {
-	d     *xmltree.Document
 	q     *tpq.Pattern
 	lists []*store.ListFile
 	pool  sync.Pool // *scratch
@@ -58,6 +56,13 @@ type scratch struct {
 	// memory to O(first) while still scanning every candidate.
 	first int
 	after []int32
+	// tuples accumulates the run's matches as label tuples, one per |Q|
+	// labels; order is the sort permutation over them and spare the
+	// compaction target of a bounded truncation. All three keep their
+	// capacity across runs: a match is rendered once, after the sort.
+	tuples []store.Label
+	spare  []store.Label
+	order  []int32
 }
 
 // Lists returns the per-query-node list files the plan is bound to, for
@@ -72,16 +77,17 @@ func (p *Prepared) Footprint() int64 { return int64(len(p.lists)) * 8 }
 
 // Prepare binds the path query q over the given lists for repeated runs.
 // It returns an error if q is not a path query.
-func Prepare(d *xmltree.Document, q *tpq.Pattern, lists []*store.ListFile) (*Prepared, error) {
+func Prepare(q *tpq.Pattern, lists []*store.ListFile) (*Prepared, error) {
 	if !q.IsPath() {
 		return nil, fmt.Errorf("pathstack: %s is not a path query", q)
 	}
-	return &Prepared{d: d, q: q, lists: lists}, nil
+	return &Prepared{q: q, lists: lists}, nil
 }
 
 // Run executes the prepared plan once, drawing scratch from the pool and
-// resetting it in place.
-func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, error) {
+// resetting it in place, and renders the matches into opts.Out in
+// document order.
+func (p *Prepared) Run(io *counters.IO, opts engine.Options) error {
 	sc, _ := p.pool.Get().(*scratch)
 	n := p.q.Size()
 	if sc == nil {
@@ -102,55 +108,84 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, error) 
 	for i := range sc.stacks {
 		sc.stacks[i] = sc.stacks[i][:0]
 	}
-	out := p.eval(sc, io, tr)
+	sc.tuples = sc.tuples[:0]
+	p.eval(sc, io, tr)
 	// ErrStop is a quota-driven stop requested by the interrupt hook (the
 	// parallel cutoff), not a failure: the bounded output is the answer.
 	if err := sc.ic.Err(); err != nil && err != engine.ErrStop {
 		p.pool.Put(sc)
-		return nil, err
+		return err
 	}
-	first := sc.first
-	p.pool.Put(sc) // sc must not be touched past this point
 	// The linked stacks emit leaf-major (ancestor combinations enumerated
 	// newest-first); canonicalize to the lexicographic document order the
 	// other engines produce so sequential and partitioned runs are
 	// byte-comparable.
-	out.Sort()
-	if first > 0 && len(out) > first {
-		out = out[:first]
+	k := sc.sortTuples(n)
+	if sc.first > 0 && k > sc.first {
+		k = sc.first
 	}
-	io.C.Matches = int64(len(out))
-	if len(out) > 0 {
+	opts.Out.Reserve(k)
+	for _, t := range sc.order[:k] {
+		engine.Render(opts.Out.Next(), p.q, sc.tuples[int(t)*n:int(t+1)*n])
+	}
+	p.pool.Put(sc) // sc must not be touched past this point
+	io.C.Matches = int64(k)
+	if k > 0 {
 		// PathStack cannot stream: time-to-first-match is the full
 		// scan+sort, stamped here so the metric reflects that honestly.
 		io.MarkFirstMatch()
 	}
-	return out, nil
+	return nil
 }
 
 // Eval evaluates the path query q over the per-query-node lists using
-// PathStack and returns all tree pattern instances (one-shot Prepare +
-// Run). It returns an error if q is not a path query.
-func Eval(d *xmltree.Document, q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) (match.Set, error) {
-	p, err := Prepare(d, q, lists)
+// PathStack and writes every tree pattern instance to opts.Out (one-shot
+// Prepare + Run). It returns an error if q is not a path query.
+func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) error {
+	p, err := Prepare(q, lists)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	return p.Run(io, opts)
 }
 
-// eval is the PathStack main loop over one run's scratch.
-func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) match.Set {
-	d, q := p.d, p.q
+// sortTuples sets order to the accumulated tuples' indices in document
+// order and returns their count.
+func (sc *scratch) sortTuples(n int) int {
+	k := len(sc.tuples) / n
+	sc.order = sc.order[:0]
+	for i := 0; i < k; i++ {
+		sc.order = append(sc.order, int32(i))
+	}
+	slices.SortFunc(sc.order, func(a, b int32) int {
+		return engine.CompareStarts(sc.tuples[int(a)*n:int(a+1)*n], sc.tuples[int(b)*n:int(b+1)*n])
+	})
+	return k
+}
+
+// truncate keeps only the first smallest keep tuples, compacted in
+// document order.
+func (sc *scratch) truncate(n, keep int) {
+	sc.sortTuples(n)
+	sc.spare = sc.spare[:0]
+	for _, t := range sc.order[:keep] {
+		sc.spare = append(sc.spare, sc.tuples[int(t)*n:int(t+1)*n]...)
+	}
+	sc.tuples, sc.spare = sc.spare, sc.tuples
+}
+
+// eval is the PathStack main loop over one run's scratch; matches
+// accumulate in sc.tuples.
+func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) {
+	q := p.q
 	n := q.Size()
 	cur, stacks, buf := sc.cur, sc.stacks, sc.buf
-	var out match.Set
 
 	for {
 		if sc.ic.Check() != nil {
 			// On ErrStop the output so far is the (bounded) answer; on a
-			// real error Run discards it, so returning it is always safe.
-			return out
+			// real error Run discards it.
+			return
 		}
 		// qmin: the valid cursor with the smallest start label.
 		qmin := -1
@@ -196,7 +231,7 @@ func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) match.Set {
 			tr.Event(obs.EvStackPush, qmin, 1)
 		}
 		if pushed && qmin == n-1 {
-			expand(d, q, stacks, n-1, len(stacks[n-1])-1, buf, io, sc, &out)
+			expand(q, stacks, n-1, len(stacks[n-1])-1, buf, io, sc)
 			stacks[n-1] = stacks[n-1][:len(stacks[n-1])-1]
 			if tr != nil {
 				tr.Event(obs.EvStackPop, n-1, 1)
@@ -205,14 +240,12 @@ func (p *Prepared) eval(sc *scratch, io *counters.IO, tr obs.Tracer) match.Set {
 			// grows well past the quota, keep only the first smallest
 			// matches. The slack (4x + 64) amortizes the sorts to O(log)
 			// per appended match.
-			if sc.first > 0 && len(out) >= 4*sc.first+64 {
-				out.Sort()
-				out = out[:sc.first]
+			if sc.first > 0 && len(sc.tuples) >= (4*sc.first+64)*n {
+				sc.truncate(n, sc.first)
 			}
 		}
 		cur[qmin].Next()
 	}
-	return out
 }
 
 // afterCursor reports whether the start-label tuple in buf is strictly
@@ -230,8 +263,8 @@ func afterCursor(buf []store.Label, after []int32) bool {
 // position fi of stack qi: the element pairs with every frame of the parent
 // stack up to its recorded parentTop, subject to the pc-level checks that
 // the stacks alone do not enforce.
-func expand(d *xmltree.Document, q *tpq.Pattern, stacks [][]frame, qi, fi int,
-	buf []store.Label, io *counters.IO, sc *scratch, out *match.Set) {
+func expand(q *tpq.Pattern, stacks [][]frame, qi, fi int,
+	buf []store.Label, io *counters.IO, sc *scratch) {
 	buf[qi] = stacks[qi][fi].l
 	if qi == 0 {
 		if sc.ic.Check() != nil {
@@ -240,11 +273,7 @@ func expand(d *xmltree.Document, q *tpq.Pattern, stacks [][]frame, qi, fi int,
 		if sc.after != nil && !afterCursor(buf, sc.after) {
 			return
 		}
-		m := make(match.Match, len(buf))
-		for k := range buf {
-			m[k] = d.FindByStart(buf[k].Start)
-		}
-		*out = append(*out, m)
+		sc.tuples = append(sc.tuples, buf...)
 		return
 	}
 	for pi := stacks[qi][fi].parentTop; pi >= 0; pi-- {
@@ -255,6 +284,6 @@ func expand(d *xmltree.Document, q *tpq.Pattern, stacks [][]frame, qi, fi int,
 		if q.Nodes[qi].Axis == tpq.Child && stacks[qi-1][pi].l.Level != buf[qi].Level-1 {
 			continue
 		}
-		expand(d, q, stacks, qi-1, pi, buf, io, sc, out)
+		expand(q, stacks, qi-1, pi, buf, io, sc)
 	}
 }

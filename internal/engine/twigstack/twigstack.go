@@ -21,11 +21,9 @@ import (
 	"viewjoin/internal/counters"
 	"viewjoin/internal/engine"
 	"viewjoin/internal/engine/enum"
-	"viewjoin/internal/match"
 	"viewjoin/internal/obs"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
-	"viewjoin/internal/xmltree"
 )
 
 const inf = int32(math.MaxInt32)
@@ -41,7 +39,6 @@ type Stats struct {
 // open-region stacks, collector buffers). Immutable after construction and
 // safe for concurrent Run calls.
 type Prepared struct {
-	d     *xmltree.Document
 	q     *tpq.Pattern
 	lists []*store.ListFile
 	pool  sync.Pool // *evaluator
@@ -63,8 +60,8 @@ type evaluator struct {
 }
 
 // Prepare binds q's evaluation over the given lists for repeated runs.
-func Prepare(d *xmltree.Document, q *tpq.Pattern, lists []*store.ListFile) *Prepared {
-	return &Prepared{d: d, q: q, lists: lists}
+func Prepare(q *tpq.Pattern, lists []*store.ListFile) *Prepared {
+	return &Prepared{q: q, lists: lists}
 }
 
 // Lists returns the per-query-node list files the plan is bound to, for
@@ -78,9 +75,10 @@ func (p *Prepared) Lists() []*store.ListFile { return p.lists }
 func (p *Prepared) Footprint() int64 { return int64(len(p.lists)) * 8 }
 
 // Run executes the prepared plan once, drawing evaluator scratch from the
-// pool and resetting it in place. The only error condition is a trip of
-// opts.Interrupt (cooperative cancellation).
-func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, Stats, error) {
+// pool and resetting it in place; the matches go to opts.Out (or
+// opts.Emit). The only error condition is a trip of opts.Interrupt
+// (cooperative cancellation).
+func (p *Prepared) Run(io *counters.IO, opts engine.Options) (Stats, error) {
 	e, _ := p.pool.Get().(*evaluator)
 	if e == nil {
 		n := p.q.Size()
@@ -88,7 +86,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, Stats, 
 			p:      p,
 			curBuf: make([]store.ListCursor, n),
 			cur:    make([]*store.ListCursor, n),
-			col:    enum.NewCollector(p.d, p.q, nil, nil, false, 0),
+			col:    enum.NewCollector(p.q, nil, nil, false, 0),
 			open:   make([][]enum.Label, n),
 		}
 	}
@@ -96,7 +94,7 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, Stats, 
 	e.ic = engine.NewInterrupter(opts.Interrupt)
 	e.col.Reset(io, opts.Tracer, opts.DiskBased, opts.PageSize)
 	e.col.SetInterrupt(&e.ic)
-	e.col.SetStream(opts.Emit, opts.First, opts.After)
+	e.col.SetOutput(opts.Out, opts.Emit, opts.First, opts.After)
 	e.streaming = opts.Emit != nil || opts.First > 0
 	for qi := range p.lists {
 		engine.ResetCursor(&e.curBuf[qi], p.lists[qi], io, opts.Tracer, qi, opts.Restrict)
@@ -108,20 +106,20 @@ func (p *Prepared) Run(io *counters.IO, opts engine.Options) (match.Set, Stats, 
 	e.run()
 	if err := e.ic.Err(); err != nil && err != engine.ErrStop {
 		p.pool.Put(e)
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
 	// ErrStop is the collector's output quota tripping, not a failure: the
 	// bounded output collected so far is the answer.
-	out := e.col.Result()
+	e.col.Finish()
 	st := Stats{PeakWindowEntries: e.col.PeakEntries()}
 	p.pool.Put(e)
-	return out, st, nil
+	return st, nil
 }
 
-// Eval evaluates q over the per-query-node lists using TwigStack and
-// returns all tree pattern instances (one-shot Prepare + Run).
-func Eval(d *xmltree.Document, q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) (match.Set, Stats, error) {
-	return Prepare(d, q, lists).Run(io, opts)
+// Eval evaluates q over the per-query-node lists using TwigStack, writing
+// every tree pattern instance to opts.Out (one-shot Prepare + Run).
+func Eval(q *tpq.Pattern, lists []*store.ListFile, io *counters.IO, opts engine.Options) (Stats, error) {
+	return Prepare(q, lists).Run(io, opts)
 }
 
 // start returns the current start label of qi's cursor, or +inf when the

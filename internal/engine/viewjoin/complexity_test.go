@@ -6,6 +6,7 @@ import (
 	"viewjoin/internal/counters"
 	"viewjoin/internal/dataset/nasa"
 	"viewjoin/internal/engine"
+	"viewjoin/internal/match"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
 	"viewjoin/internal/views"
@@ -26,11 +27,12 @@ func measure(t testing.TB, d *xmltree.Document, q *tpq.Pattern, vs []*tpq.Patter
 		stores[i] = store.MustBuild(views.MustMaterialize(d, vp), store.Linked, 0)
 		totalL += stores[i].TotalEntries()
 	}
-	ms, _, err := Eval(d, v, stores, counters.NewIO(&c, 0), engine.Options{})
-	if err != nil {
+	var rows match.Rows
+	rows.Init(q.Size(), 0)
+	if _, err := Eval(v, stores, counters.NewIO(&c, 0), engine.Options{Out: &rows}); err != nil {
 		t.Fatal(err)
 	}
-	return c, totalL, len(ms)
+	return c, totalL, rows.Len()
 }
 
 // TestLemma41IOBound checks the I/O side of the paper's Lemma 4.1:

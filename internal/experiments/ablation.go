@@ -8,6 +8,7 @@ import (
 	"viewjoin/internal/dataset/nasa"
 	"viewjoin/internal/engine"
 	vjengine "viewjoin/internal/engine/viewjoin"
+	"viewjoin/internal/match"
 	"viewjoin/internal/store"
 	"viewjoin/internal/views"
 	"viewjoin/internal/vsq"
@@ -105,7 +106,9 @@ func ablationThreshold(cfg Config) error {
 			bytes += st.SizeBytes()
 		}
 		var c counters.Counters
-		_, _, err := vjengine.Eval(doc, v, stores, counters.NewIO(&c, cfg.BufferPoolPages), engine.Options{})
+		var out match.Rows
+		out.Init(v.Query.Size(), 0)
+		_, err := vjengine.Eval(v, stores, counters.NewIO(&c, cfg.BufferPoolPages), engine.Options{Out: &out})
 		if err != nil {
 			return err
 		}

@@ -263,14 +263,14 @@ type queryRequest struct {
 
 // queryResponse is the body of a successful POST /query.
 type queryResponse struct {
-	Schema     string       `json:"schema"`
-	Document   string       `json:"document"`
-	Query      string       `json:"query"`
-	Engine     string       `json:"engine"`
-	Views      []string     `json:"views"`
-	Cache      string       `json:"cache"` // "hit" or "miss"
-	MatchCount int          `json:"match_count"`
-	Matches    [][]nodeJSON `json:"matches,omitempty"`
+	Schema     string            `json:"schema"`
+	Document   string            `json:"document"`
+	Query      string            `json:"query"`
+	Engine     string            `json:"engine"`
+	Views      []string          `json:"views"`
+	Cache      string            `json:"cache"` // "hit" or "miss"
+	MatchCount int               `json:"match_count"`
+	Matches    [][]viewjoin.Node `json:"matches,omitempty"`
 	// Cursor, present when a limited page filled completely, resumes the
 	// enumeration strictly after this page's last row: pass it back in the
 	// next request's cursor field. Absent on the last page. The value is
@@ -280,13 +280,6 @@ type queryResponse struct {
 	Stats      statsJSON   `json:"stats"`
 	DurationUS int64       `json:"duration_us"`
 	Trace      *obs.Report `json:"trace,omitempty"`
-}
-
-type nodeJSON struct {
-	Tag   string `json:"tag"`
-	Start int32  `json:"start"`
-	End   int32  `json:"end"`
-	Level int32  `json:"level"`
 }
 
 type statsJSON struct {
@@ -699,14 +692,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, traced bool)
 		if n > req.Limit {
 			n = req.Limit
 		}
-		resp.Matches = make([][]nodeJSON, n)
-		for i := 0; i < n; i++ {
-			row := make([]nodeJSON, len(res.Matches[i]))
-			for j, nd := range res.Matches[i] {
-				row[j] = nodeJSON{Tag: nd.Tag, Start: nd.Start, End: nd.End, Level: nd.Level}
-			}
-			resp.Matches[i] = row
-		}
+		// Rows encode as they are: Node carries the wire field names.
+		resp.Matches = res.Matches[:n]
 		// A completely filled page may have more matches after it; hand
 		// back the resumption cursor. A short page is the last one.
 		if n == req.Limit && n > 0 {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"viewjoin/internal/match"
 	"viewjoin/internal/tpq"
 	"viewjoin/internal/xmltree"
 )
@@ -308,4 +309,32 @@ func InterleavedPathViews(q *tpq.Pattern, k int) []*tpq.Pattern {
 		groups[i] = i % k
 	}
 	return ViewsFromGrouping(q, groups)
+}
+
+// MatchSet converts rendered result rows back into a match set over d, for
+// comparison with the oracle. A cell whose tag, end or level disagrees with
+// the document node starting at its start label converts to NoNode, so
+// every field of every cell is checked, not only the start labels.
+func MatchSet(d *xmltree.Document, rows *match.Rows) match.Set {
+	var out match.Set
+	for _, row := range rows.Slice(0, -1) {
+		out = append(out, MatchOf(d, row))
+	}
+	return out
+}
+
+// MatchOf converts one rendered row into a match over d (see MatchSet).
+func MatchOf(d *xmltree.Document, row []match.Node) match.Match {
+	m := make(match.Match, len(row))
+	for k, c := range row {
+		id := d.FindByStart(c.Start)
+		if id != xmltree.NoNode {
+			n := d.Node(id)
+			if d.TypeName(n.Type) != c.Tag || n.End != c.End || n.Level != c.Level {
+				id = xmltree.NoNode
+			}
+		}
+		m[k] = id
+	}
+	return m
 }

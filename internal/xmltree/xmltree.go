@@ -66,12 +66,10 @@ type Document struct {
 	nameIDs map[string]TypeID
 	nodes   []Node
 
-	// Lazily built indexes, guarded for concurrent readers: a Document is
+	// Lazily built index, guarded for concurrent readers: a Document is
 	// immutable after construction and safe for parallel query evaluation.
-	typeOnce  sync.Once
-	byType    [][]NodeID // type -> nodes of that type in doc order
-	startOnce sync.Once
-	byStart   []NodeID // start label -> node id (NoNode for end tags)
+	typeOnce sync.Once
+	byType   [][]NodeID // type -> nodes of that type in doc order
 }
 
 // NumNodes returns the number of element nodes in the document.
@@ -163,27 +161,16 @@ func (d *Document) SubtreeSize(id NodeID) int {
 }
 
 // FindByStart returns the node id whose Start label equals start, or NoNode.
-// A lazily built direct-lookup table makes this O(1): it sits on the hot
-// output path of every evaluation engine (one lookup per bound node per
-// emitted match).
+// It binary-searches the document-ordered nodes (O(log n), no index to
+// build): the evaluation engines render results from the labels they hold
+// and never call it, so its callers are the occasional label-to-node
+// lookups — an update's target, a result captured as a view.
 func (d *Document) FindByStart(start int32) NodeID {
-	d.startOnce.Do(d.buildStartIndex)
-	if start < 0 || int(start) >= len(d.byStart) {
-		return NoNode
+	i := sort.Search(len(d.nodes), func(k int) bool { return d.nodes[k].Start >= start })
+	if i < len(d.nodes) && d.nodes[i].Start == start {
+		return NodeID(i)
 	}
-	return d.byStart[start]
-}
-
-func (d *Document) buildStartIndex() {
-	maxStart := d.nodes[len(d.nodes)-1].Start
-	idx := make([]NodeID, maxStart+1)
-	for i := range idx {
-		idx[i] = NoNode
-	}
-	for i := range d.nodes {
-		idx[d.nodes[i].Start] = NodeID(i)
-	}
-	d.byStart = idx
+	return NoNode
 }
 
 // Validate checks the structural invariants of the document: nodes sorted by

@@ -58,8 +58,8 @@ func EvaluateWithoutViews(d *Document, q *Query, eng Engine, opts *EvalOptions) 
 	}
 	p := &PreparedQuery{d: d, tree: snap.tree, epoch: snap.epoch, q: q, eng: eng, opts: *opts}
 	if eng == EngineTwigStack {
-		p.ts = twigstack.Prepare(snap.tree, q.p, lists)
-	} else if p.ps, err = pathstack.Prepare(snap.tree, q.p, lists); err != nil {
+		p.ts = twigstack.Prepare(q.p, lists)
+	} else if p.ps, err = pathstack.Prepare(q.p, lists); err != nil {
 		return nil, err
 	}
 	if tr != nil {

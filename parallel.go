@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"viewjoin/internal/engine"
-	"viewjoin/internal/match"
 	"viewjoin/internal/store"
 	"viewjoin/internal/tpq"
 )
@@ -258,21 +257,21 @@ func (qs *quotaState) complete(i, count int) {
 // (spineOrdered) a quotaState additionally stops scanning partitions that
 // can no longer contribute to the page (see quotaState).
 //
-// A nil sink keeps every job accumulating inside its engine; the caller
+// A nil sink has every job render into its own row buffer; the caller
 // merges the outputs. A non-nil sink — only for a bounded, spineOrdered
-// run of a streaming engine — has each job stream its matches into a
-// per-job channel, and the calling goroutine drains the channels in job
-// index order, which is then document order: the first row reaches the
-// sink as soon as job 0's engine emits it, while other partitions are
-// still scanning. Once the sink is done, a stop latch halts the remaining
-// jobs at their next interrupt poll.
+// run of a streaming engine — has each job copy its rows into its buffer
+// and pass them through a per-job channel, and the calling goroutine
+// drains the channels in job index order, which is then document order:
+// the first row reaches the sink as soon as job 0's engine emits it, while
+// other partitions are still scanning. Once the sink is done, a stop latch
+// halts the remaining jobs at their next interrupt poll.
 func (p *PreparedQuery) runJobs(jobs []engine.Restriction, interrupt func() error, ro RunOptions, sink *streamer) []jobOut {
 	var qs *quotaState
 	if ro.first() > 0 && p.spineOrdered() {
 		qs = newQuotaState(ro.first(), len(jobs))
 	}
 	var (
-		chans    []chan match.Match
+		chans    []chan []Node
 		stop     chan struct{}
 		stopOnce sync.Once
 	)
@@ -280,9 +279,9 @@ func (p *PreparedQuery) runJobs(jobs []engine.Restriction, interrupt func() erro
 		// Each buffer holds the full per-job quota (no job emits more than
 		// ro.first() matches), so workers never block on a slow consumer
 		// and an early stop needs no drain protocol.
-		chans = make([]chan match.Match, len(jobs))
+		chans = make([]chan []Node, len(jobs))
 		for i := range chans {
-			chans[i] = make(chan match.Match, ro.first())
+			chans[i] = make(chan []Node, ro.first())
 		}
 		stop = make(chan struct{})
 	}
@@ -315,21 +314,20 @@ func (p *PreparedQuery) runJobs(jobs []engine.Restriction, interrupt func() erro
 			qs.complete(i, 0)
 			return
 		}
-		var emit func(match.Match) bool
-		emitted := 0
+		var emit func([]Node) bool
 		if sink != nil {
-			emit = func(m match.Match) bool {
-				chans[i] <- match.Clone(m)
-				emitted++
+			rows := &outs[i].rows
+			rows.Init(p.q.p.Size(), ro.first())
+			emit = func(row []Node) bool {
+				r := rows.Next()
+				copy(r, row)
+				chans[i] <- r
 				return true
 			}
 		}
-		outs[i] = p.exec(&jobs[i], jobInterrupt(i), ro, nil, emit)
-		if sink == nil {
-			emitted = len(outs[i].ms)
-		}
+		p.exec(&outs[i], &jobs[i], jobInterrupt(i), ro, nil, emit)
 		if qs != nil {
-			qs.complete(i, emitted)
+			qs.complete(i, outs[i].rows.Len())
 		}
 	})
 	for i := range chans {
@@ -342,44 +340,4 @@ func (p *PreparedQuery) runJobs(jobs []engine.Restriction, interrupt func() erro
 	}
 	wait()
 	return outs
-}
-
-// mergeJobMatches k-way merges the per-job outputs — each already sorted
-// in document order — into one document-ordered set. Jobs bound disjoint
-// anchor ranges but spine bindings above them are not chunk-ordered, so
-// the merge is what restores the canonical lexicographic order every
-// sequential engine emits.
-func mergeJobMatches(outs []jobOut) match.Set {
-	total := 0
-	live := 0
-	for i := range outs {
-		if len(outs[i].ms) > 0 {
-			total += len(outs[i].ms)
-			live++
-		}
-	}
-	if live <= 1 {
-		for i := range outs {
-			if len(outs[i].ms) > 0 {
-				return outs[i].ms
-			}
-		}
-		return nil
-	}
-	ms := make(match.Set, 0, total)
-	pos := make([]int, len(outs))
-	for len(ms) < total {
-		best := -1
-		for i := range outs {
-			if pos[i] >= len(outs[i].ms) {
-				continue
-			}
-			if best < 0 || match.Less(outs[i].ms[pos[i]], outs[best].ms[pos[best]]) {
-				best = i
-			}
-		}
-		ms = append(ms, outs[best].ms[pos[best]])
-		pos[best]++
-	}
-	return ms
 }

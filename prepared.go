@@ -32,7 +32,9 @@ import (
 //
 // Run draws evaluator scratch state (cursors, region logs, window buffers,
 // join scratch) from an internal sync.Pool and resets it in place instead
-// of reallocating, so a warm Run allocates only for its output.
+// of reallocating, so a warm Run allocates only for its output: the
+// engines render each match once, from the region labels they already
+// hold, into a few chunks of result cells.
 //
 // A PreparedQuery is immutable after Prepare and safe for concurrent runs
 // provided the captured EvalOptions.Tracer is nil (tracers are not
@@ -120,7 +122,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 			return nil, err
 		}
 		p.v = v
-		p.vj, err = vjengine.Prepare(snap.tree, v, stores, tr)
+		p.vj, err = vjengine.Prepare(v, stores, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -138,8 +140,8 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 			return nil, err
 		}
 		if eng == EngineTwigStack {
-			p.ts = twigstack.Prepare(snap.tree, q.p, lists)
-		} else if p.ps, err = pathstack.Prepare(snap.tree, q.p, lists); err != nil {
+			p.ts = twigstack.Prepare(q.p, lists)
+		} else if p.ps, err = pathstack.Prepare(q.p, lists); err != nil {
 			return nil, err
 		}
 		if tr != nil {
@@ -167,7 +169,7 @@ func Prepare(d *Document, q *Query, mviews []*MaterializedView, eng Engine, opts
 		if tr != nil {
 			io.Page = pageHook(tr)
 		}
-		ij, err := interjoin.Prepare(snap.tree, q.p, stores, viewPos, io, tr)
+		ij, err := interjoin.Prepare(q.p, stores, viewPos, io, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -253,8 +255,8 @@ type RunOptions struct {
 	Tracer obs.Tracer
 	// Yield, when non-nil, receives each row of the page as it is produced
 	// instead of materializing the result; the returned Result then
-	// carries Stats only. The row slice is reused between calls — yield
-	// must copy any bindings it keeps. Returning false stops the run early
+	// carries Stats only. The row slice may be reused between calls —
+	// yield must copy any bindings it keeps. Returning false stops the run early
 	// (the engines unwind at their next checkpoint and RunWith still
 	// returns a nil error).
 	//
@@ -281,16 +283,15 @@ func (ro RunOptions) first() int {
 	return ro.Offset + ro.Limit
 }
 
-// slice reduces an engine's (already bounded, cursor-filtered) document-
-// order output to the requested page.
-func (ro RunOptions) slice(ms match.Set) match.Set {
-	if ro.Offset > 0 {
-		ms = ms[min(ro.Offset, len(ms)):]
+// page returns the row bounds [lo, hi) of the requested page within an
+// engine's (already bounded, cursor-filtered) document-order output; hi
+// is -1 when the page runs to the end.
+func (ro RunOptions) page() (lo, hi int) {
+	hi = -1
+	if ro.Limit > 0 {
+		hi = ro.Offset + ro.Limit
 	}
-	if ro.Limit > 0 && len(ms) > ro.Limit {
-		ms = ms[:ro.Limit]
-	}
-	return ms
+	return ro.Offset, hi
 }
 
 // resolve applies the RunOptions zero-field rule against the prepare-time
@@ -403,31 +404,27 @@ func (p *PreparedQuery) run(ctx context.Context, ro RunOptions, start time.Time,
 		tr.BeginPhase(obs.PhaseEvaluate)
 	}
 	jobs := p.planPartitions(ro.Parallel)
+	// A Yield's rows flow straight out of the engines (st non-nil) only
+	// when they arrive in document order; otherwise the page is replayed
+	// below.
 	var st *streamer
-	live := false
-	if ro.Yield != nil {
-		st = &streamer{tree: p.tree, yield: ro.Yield, row: make([]Node, p.q.p.Size()), skip: ro.Offset, left: -1}
+	if ro.Yield != nil && (p.eng == EngineViewJoin || p.eng == EngineTwigStack) &&
+		(len(jobs) < 2 || ro.first() > 0 && p.spineOrdered()) {
+		st = &streamer{yield: ro.Yield, skip: ro.Offset, left: -1}
 		if ro.Limit > 0 {
 			st.left = ro.Limit
 		}
-		// Rows can flow straight out of the engines only when they arrive
-		// in document order; otherwise the page is replayed below.
-		live = (p.eng == EngineViewJoin || p.eng == EngineTwigStack) &&
-			(len(jobs) < 2 || ro.first() > 0 && p.spineOrdered())
 	}
 	var outs []jobOut
 	if len(jobs) < 2 {
-		var emit func(match.Match) bool
-		if live {
+		var emit func([]Node) bool
+		if st != nil {
 			emit = st.deliver
 		}
-		outs = []jobOut{p.exec(nil, interrupt, ro, tr, emit)}
+		outs = make([]jobOut, 1)
+		p.exec(&outs[0], nil, interrupt, ro, tr, emit)
 	} else {
-		var sink *streamer
-		if live {
-			sink = st
-		}
-		outs = p.runJobs(jobs, interrupt, ro, sink)
+		outs = p.runJobs(jobs, interrupt, ro, st)
 		if tr != nil {
 			// Partitions run untraced (tracers are not concurrency-safe);
 			// one event per job still exposes the partition-span
@@ -466,22 +463,53 @@ func (p *PreparedQuery) run(ctx context.Context, ro RunOptions, start time.Time,
 			firstMatch = t
 		}
 	}
-	ms := mergeJobMatches(outs)
-	if st != nil {
-		if !live {
-			for i := 0; i < len(ms) && !st.done; i++ {
-				st.deliver(ms[i])
+	res := p.buildResult(c, peak, executed, start, firstMatch)
+	if tr != nil {
+		tr.BeginPhase(obs.PhaseOutput)
+	}
+	if st == nil {
+		res.Matches = pageRows(outs, ro)
+	}
+	if ro.Yield != nil {
+		for _, row := range res.Matches { // replay; nil when st streamed
+			if !ro.Yield(row) {
+				break
 			}
 		}
-		ms = nil
+		res.Matches = nil
 	}
-	return p.buildResult(ro.slice(ms), c, peak, executed, start, firstMatch, tr), nil
+	if tr != nil {
+		tr.EndPhase(obs.PhaseOutput)
+	}
+	if rec, ok := tr.(*obs.Recorder); ok {
+		res.Trace = rec.Report(c, time.Since(start))
+		res.Trace.FirstMatchNanos = res.Stats.FirstMatchNanos
+	}
+	return res, nil
+}
+
+// pageRows returns the requested page of the run's output as row slices
+// into the jobs' row buffers: a slice bound for a sequential run, a k-way
+// merge of the partitions' document-ordered rows for a partitioned one.
+// Jobs bound disjoint anchor ranges but spine bindings above them are not
+// chunk-ordered, so the merge is what restores the canonical order every
+// sequential engine emits. No cell is copied.
+func pageRows(outs []jobOut, ro RunOptions) [][]Node {
+	lo, hi := ro.page()
+	if len(outs) == 1 {
+		return outs[0].rows.Slice(lo, hi)
+	}
+	parts := make([]*match.Rows, len(outs))
+	for i := range outs {
+		parts[i] = &outs[i].rows
+	}
+	return match.Merge(parts, lo, hi)
 }
 
 // jobOut is one execution's outcome — the whole run, or one partition of
 // a parallel one, written only by its worker.
 type jobOut struct {
-	ms      match.Set
+	rows    match.Rows
 	c       counters.Counters
 	peak    int64
 	dur     time.Duration
@@ -491,21 +519,21 @@ type jobOut struct {
 }
 
 // exec runs the engine once over restriction r (nil: the whole document)
-// with its own counters and its own buffer pool of the configured size
-// (pools simulate per-cursor-set caching and cannot be shared across
-// goroutines). A non-nil emit streams the matches instead of accumulating
-// them (ViewJoin/TwigStack only).
-func (p *PreparedQuery) exec(r *engine.Restriction, interrupt func() error, ro RunOptions,
-	tr obs.Tracer, emit func(match.Match) bool) jobOut {
+// into out, with its own counters and its own buffer pool of the
+// configured size (pools simulate per-cursor-set caching and cannot be
+// shared across goroutines). The engine renders its matches into out.rows,
+// whose first chunk is sized from the run's quota; a non-nil emit streams
+// them instead (ViewJoin/TwigStack only).
+func (p *PreparedQuery) exec(out *jobOut, r *engine.Restriction, interrupt func() error, ro RunOptions,
+	tr obs.Tracer, emit func([]Node) bool) {
 	t0 := time.Now()
-	var out jobOut
-	// The IO keeps a pointer to the counters, which therefore live on the
-	// heap; keeping them apart from out keeps that allocation small.
-	var c counters.Counters
-	io := counters.NewIO(&c, p.opts.BufferPoolPages)
+	io := counters.NewIO(&out.c, p.opts.BufferPoolPages)
 	io.SetStall(p.opts.IOLatency)
 	if tr != nil {
 		io.Page = pageHook(tr)
+	}
+	if emit == nil {
+		out.rows.Init(p.q.p.Size(), ro.first())
 	}
 	eopts := engine.Options{
 		Tracer:         tr,
@@ -519,44 +547,41 @@ func (p *PreparedQuery) exec(r *engine.Restriction, interrupt func() error, ro R
 		// partition's first offset+limit.
 		First: ro.first(),
 		After: ro.After,
+		Out:   &out.rows,
 		Emit:  emit,
 	}
 	switch p.eng {
 	case EngineViewJoin:
 		var st vjengine.Stats
-		out.ms, st, out.err = p.vj.Run(io, eopts)
+		st, out.err = p.vj.Run(io, eopts)
 		out.peak = int64(st.PeakWindowEntries) * 16
 	case EngineTwigStack:
 		var st twigstack.Stats
-		out.ms, st, out.err = p.ts.Run(io, eopts)
+		st, out.err = p.ts.Run(io, eopts)
 		out.peak = int64(st.PeakWindowEntries) * 16
 	case EnginePathStack:
-		out.ms, out.err = p.ps.Run(io, eopts)
+		out.err = p.ps.Run(io, eopts)
 	case EngineInterJoin:
-		out.ms, out.err = p.ij.Run(io, eopts)
+		out.err = p.ij.Run(io, eopts)
 	}
 	io.DrainStall()
-	out.c = c
 	out.dur = time.Since(t0)
 	out.first = io.FirstMatchTime()
-	return out
 }
 
-// streamer delivers matches to a RunOptions.Yield in document order: it
-// skips the Offset prefix, renders each row into one reused slice, and is
-// done once the page is full or yield declines.
+// streamer delivers rows to a RunOptions.Yield in document order: it
+// skips the Offset prefix and is done once the page is full or yield
+// declines.
 type streamer struct {
-	tree  *xmltree.Document
 	yield func(row []Node) bool
-	row   []Node
 	skip  int
 	left  int // rows the page still takes; negative when unbounded
 	done  bool
 }
 
-// deliver hands m to yield and reports yield's verdict. A full page is not
-// a refusal: the engines' own quota stops the run at that same match.
-func (s *streamer) deliver(m match.Match) bool {
+// deliver hands row to yield and reports yield's verdict. A full page is
+// not a refusal: the engines' own quota stops the run at that same match.
+func (s *streamer) deliver(row []Node) bool {
 	if s.done {
 		return false
 	}
@@ -564,40 +589,20 @@ func (s *streamer) deliver(m match.Match) bool {
 		s.skip--
 		return true
 	}
-	fillRow(s.tree, s.row, m)
-	ok := s.yield(s.row)
+	ok := s.yield(row)
 	s.left--
 	s.done = !ok || s.left == 0
 	return ok
 }
 
-// fillRow renders match m's node bindings over tree t into row.
-func fillRow(t *xmltree.Document, row []Node, m match.Match) {
-	for j, id := range m {
-		n := t.Node(id)
-		row[j] = Node{Tag: t.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
-	}
-}
-
-// rows renders a match set as freshly allocated result rows.
-func rows(t *xmltree.Document, ms match.Set) [][]Node {
-	out := make([][]Node, len(ms))
-	for i, m := range ms {
-		out[i] = make([]Node, len(m))
-		fillRow(t, out[i], m)
-	}
-	return out
-}
-
-// buildResult renders an engine's match set into the public Result,
-// stamping the run's counters into Stats and resolving node bindings.
-func (p *PreparedQuery) buildResult(ms match.Set, c counters.Counters, peak int64, partitions int,
-	start time.Time, firstMatch time.Time, tr obs.Tracer) *Result {
+// buildResult stamps a run's counters into a fresh Result's Stats.
+func (p *PreparedQuery) buildResult(c counters.Counters, peak int64, partitions int,
+	start time.Time, firstMatch time.Time) *Result {
 	var firstNanos int64
 	if !firstMatch.IsZero() {
 		firstNanos = firstMatch.Sub(start).Nanoseconds()
 	}
-	res := &Result{
+	return &Result{
 		Stats: Stats{
 			ElementsScanned: c.ElementsScanned,
 			Comparisons:     c.Comparisons,
@@ -613,18 +618,6 @@ func (p *PreparedQuery) buildResult(ms match.Set, c counters.Counters, peak int6
 			Partitions:      partitions,
 		},
 	}
-	if tr != nil {
-		tr.BeginPhase(obs.PhaseOutput)
-	}
-	res.Matches = rows(p.tree, ms)
-	if tr != nil {
-		tr.EndPhase(obs.PhaseOutput)
-	}
-	if rec, ok := tr.(*obs.Recorder); ok {
-		res.Trace = rec.Report(c, time.Since(start))
-		res.Trace.FirstMatchNanos = firstNanos
-	}
-	return res
 }
 
 // BatchResult is the outcome of one query in an EvaluateBatch call.

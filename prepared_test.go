@@ -217,12 +217,13 @@ func TestEvaluateBatch(t *testing.T) {
 }
 
 // preparedRunAllocCeiling pins the allocation cost of a warm
-// PreparedQuery.Run on the standard workload: output rows plus a handful of
-// fixed-size wrappers (measured baseline: 595, almost entirely the Matches
-// rows). It must stay strictly below the one-shot Evaluate ceiling
-// (noopTraceAllocCeiling) — the pooled path exists to shed the per-call
-// plan and scratch allocations.
-const preparedRunAllocCeiling = 620
+// PreparedQuery.Run on the standard workload (289 matches): the row
+// buffer's chunks, the page's outer row slice and a handful of fixed-size
+// wrappers (measured: 17; it was 595, two per match, before the engines
+// rendered rows straight from their labels). It must stay strictly below
+// the one-shot Evaluate ceiling (noopTraceAllocCeiling) — the pooled path
+// exists to shed the per-call plan and scratch allocations.
+const preparedRunAllocCeiling = 24
 
 // TestPreparedRunAllocations asserts the pooled Run path allocates strictly
 // less than one-shot Evaluate and stays under its own pinned ceiling.
@@ -254,6 +255,59 @@ func TestPreparedRunAllocations(t *testing.T) {
 	}
 	if runAllocs > preparedRunAllocCeiling {
 		t.Errorf("prepared Run allocates %.0f times, ceiling %d", runAllocs, preparedRunAllocCeiling)
+	}
+}
+
+// TestPreparedRunAllocationsFlat asserts that a warm Run's allocation
+// count does not grow with its match count: the same query over a
+// document four times larger (about four times the matches) may allocate
+// only the few extra row-buffer chunks that geometric growth needs.
+func TestPreparedRunAllocationsFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is slow")
+	}
+	if raceEnabled {
+		t.Skip("race-detector instrumentation changes allocation counts")
+	}
+	// Chunk capacity grows 1.5x per chunk, so 4x the rows takes at most
+	// ceil(log1.5 4) = 4 more chunks.
+	const maxExtraChunks = 4
+	q := MustParseQuery("//site//item[//description//keyword]/name")
+	vs, err := ParseViews("//site//item//name; //description//keyword")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []Engine{EngineViewJoin, EngineTwigStack} {
+		var matches [2]int
+		var allocs [2]float64
+		for i, scale := range []float64{0.05, 0.2} {
+			d := GenerateXMark(scale)
+			mv, err := d.MaterializeViews(vs, SchemeLEp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := Prepare(d, q, mv, eng, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			matches[i] = len(res.Matches)
+			allocs[i] = testing.AllocsPerRun(5, func() {
+				if _, err := p.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if matches[1] < 3*matches[0] {
+			t.Fatalf("%v: %d and %d matches; the larger document must have several times more", eng, matches[0], matches[1])
+		}
+		if allocs[1] > allocs[0]+maxExtraChunks {
+			t.Errorf("%v: warm Run allocates %.0f times for %d matches but %.0f for %d — allocation must not grow with the match count",
+				eng, allocs[0], matches[0], allocs[1], matches[1])
+		}
 	}
 }
 

@@ -7,9 +7,10 @@
 #
 # Prints per-experiment wall-time deltas and exits non-zero when any
 # experiment present in both manifests regressed by more than the threshold
-# (default 10%). Experiments in only one manifest are reported as
+# (default 10%), or when a row's deterministic counters changed (see
+# cmd/vjbenchcmp). Experiments in only one manifest are reported as
 # added/removed, never as regressions. Wall times are noisy — rerun before
-# trusting a marginal failure.
+# trusting a marginal failure; counters are exact.
 set -eu
 cd "$(dirname "$0")/.."
 if [ $# -ne 2 ]; then

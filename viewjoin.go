@@ -38,6 +38,7 @@ import (
 
 	"viewjoin/internal/dataset/nasa"
 	"viewjoin/internal/dataset/xmark"
+	"viewjoin/internal/match"
 	"viewjoin/internal/obs"
 	"viewjoin/internal/oracle"
 	"viewjoin/internal/store"
@@ -124,13 +125,10 @@ func (d *Document) NumNodes() int { return d.tree().NumNodes() }
 // WriteXML serializes the current snapshot's element structure as XML.
 func (d *Document) WriteXML(w io.Writer) error { return xmltree.Write(w, d.tree()) }
 
-// Node describes one element node in a result.
-type Node struct {
-	Tag   string
-	Start int32
-	End   int32
-	Level int32
-}
+// Node describes one element node in a result: its tag and its region
+// label (Start, End, Level). JSON encodes it as {"tag", "start", "end",
+// "level"}.
+type Node = match.Node
 
 // Query is a parsed tree pattern query.
 type Query struct {
@@ -658,7 +656,20 @@ func interJoinPlan(q *tpq.Pattern, patterns []*tpq.Pattern, stores []*store.View
 // evaluator, useful for validating view-based plans.
 func EvaluateDirect(d *Document, q *Query) *Result {
 	t := d.tree()
-	return &Result{Matches: rows(t, oracle.Eval(t, q.p))}
+	ms := oracle.Eval(t, q.p)
+	// The oracle takes each tag from the document, not from the query, so
+	// it also checks the engines' rendering of tags from query labels.
+	var rows match.Rows
+	rows.Init(q.p.Size(), 0)
+	rows.Reserve(len(ms))
+	for _, m := range ms {
+		row := rows.Next()
+		for j, id := range m {
+			n := t.Node(id)
+			row[j] = Node{Tag: t.TypeName(n.Type), Start: n.Start, End: n.End, Level: n.Level}
+		}
+	}
+	return &Result{Matches: rows.Slice(0, -1)}
 }
 
 // ValidateViewSet checks that the views form a valid covering set for q
